@@ -100,21 +100,51 @@ def skinning_weights(point, node_positions, bandwidth: float) -> np.ndarray:
     return _gauss_weights(d2[None, :], float(bandwidth))[0]
 
 
+# Point-node distances held at once by assign_points (8 MB of float64).
+_ASSIGN_CHUNK_ENTRIES = 1 << 20
+
+
 def assign_points(points, node_positions, assign_k: int, bandwidth: float):
     """Assign each point to its nearest nodes with Gaussian weights.
 
     Returns (indices, weights), both (N, min(assign_k, V)). Indices are
     ascending by distance with ties broken by lower node index.
+
+    Points are processed in chunks of about _ASSIGN_CHUNK_ENTRIES
+    point-node distances, so memory stays bounded for large clouds.
     """
     pts = _as_points(points)
     nodes = _as_points(node_positions)
     kk = min(int(assign_k), nodes.shape[0])
     if kk < 1:
         raise ValidationError("assign_k must be >= 1")
-    d2 = np.sum((pts[:, None, :] - nodes[None, :, :]) ** 2, axis=2)
-    order = np.argsort(d2, axis=1, kind="stable")[:, :kk]
-    sel = np.take_along_axis(d2, order, axis=1)
+    step = max(1, _ASSIGN_CHUNK_ENTRIES // nodes.shape[0])
+    order = np.empty((pts.shape[0], kk), dtype=np.int64)
+    sel = np.empty((pts.shape[0], kk))
+    for start in range(0, pts.shape[0], step):
+        rows = slice(start, start + step)
+        order[rows], sel[rows] = _nearest_nodes(pts[rows], nodes, kk)
     return order, _gauss_weights(sel, float(bandwidth))
+
+
+def _nearest_nodes(pts: np.ndarray, nodes: np.ndarray, kk: int):
+    """The kk nearest nodes per point and their squared distances.
+
+    argpartition picks kk candidates, which are then sorted by (distance,
+    node index). It may pick any of several nodes tied at the kk-th
+    distance, so the rows with such a tie fall back to a stable argsort;
+    both give exactly what a stable argsort of every row gives.
+    """
+    # per coordinate, summed x, y, z in order: the bits of np.sum over the
+    # last axis, without the (n, V, 3) temporary
+    d2 = sum((pts[:, None, a] - nodes[None, :, a]) ** 2 for a in range(3))
+    cand = np.argpartition(d2, kk - 1, axis=1)[:, :kk]
+    cand_d2 = np.take_along_axis(d2, cand, axis=1)
+    order = np.take_along_axis(cand, np.lexsort((cand, cand_d2), axis=1), axis=1)
+    tied = np.count_nonzero(d2 <= cand_d2.max(axis=1, keepdims=True), axis=1) > kk
+    if tied.any():
+        order[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :kk]
+    return order, np.take_along_axis(d2, order, axis=1)
 
 
 def build_graph(cloud, coverage: float, assign_k: int, start_index: int = 0) -> DeformationGraph:

@@ -56,15 +56,19 @@ class PointCloud:
 
 
 def skew(v) -> np.ndarray:
-    """Skew-symmetric matrix of a 3-vector: skew(v) @ w == cross(v, w)."""
+    """Skew-symmetric matrix of a 3-vector: skew(v) @ w == cross(v, w).
+
+    Accepts a stack of vectors, shape (..., 3), and returns (..., 3, 3).
+    """
     v = np.asarray(v, dtype=np.float64)
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    out[..., 0, 1] = -v[..., 2]
+    out[..., 0, 2] = v[..., 1]
+    out[..., 1, 0] = v[..., 2]
+    out[..., 1, 2] = -v[..., 0]
+    out[..., 2, 0] = -v[..., 1]
+    out[..., 2, 1] = v[..., 0]
+    return out
 
 
 def exp_so3(omega) -> np.ndarray:
@@ -72,32 +76,30 @@ def exp_so3(omega) -> np.ndarray:
 
     Parameters
     ----------
-    omega : array_like, shape (3,)
-        Axis-angle vector; direction is the rotation axis, norm the angle
-        in radians.
+    omega : array_like, shape (3,) or (..., 3)
+        Axis-angle vector(s); direction is the rotation axis, norm the
+        angle in radians.
 
     Returns
     -------
-    (3, 3) ndarray
-        Orthonormal rotation matrix with determinant +1.
+    (3, 3) or (..., 3, 3) ndarray
+        Orthonormal rotation matrix with determinant +1, one per vector.
 
     Notes
     -----
     Below ``|omega| < 1e-8`` the two Rodrigues coefficients sin(t)/t and
     (1-cos(t))/t^2 are replaced by their second-order Taylor expansions to
-    avoid 0/0.
+    avoid 0/0. A stack gives, per vector, the same bits as a single call.
     """
     omega = np.asarray(omega, dtype=np.float64)
-    theta2 = float(omega @ omega)
+    theta2 = (omega[..., None, :] @ omega[..., :, None])[..., 0, 0]
     theta = np.sqrt(theta2)
-    if theta < 1e-8:
-        a = 1.0 - theta2 / 6.0
-        b = 0.5 - theta2 / 24.0
-    else:
-        a = np.sin(theta) / theta
-        b = (1.0 - np.cos(theta)) / theta2
+    small = theta < 1e-8
+    safe, safe2 = np.where(small, 1.0, theta), np.where(small, 1.0, theta2)
+    a = np.where(small, 1.0 - theta2 / 6.0, np.sin(safe) / safe)
+    b = np.where(small, 0.5 - theta2 / 24.0, (1.0 - np.cos(safe)) / safe2)
     k = skew(omega)
-    return np.eye(3) + a * k + b * (k @ k)
+    return np.eye(3) + a[..., None, None] * k + b[..., None, None] * (k @ k)
 
 
 def log_so3(rotation) -> np.ndarray:
@@ -106,13 +108,18 @@ def log_so3(rotation) -> np.ndarray:
     The angle is taken in [0, pi]. At theta == pi the axis sign is not
     determined by the matrix; a fixed convention (largest diagonal entry,
     first nonzero component positive) keeps the output deterministic.
+
+    The angle is atan2(sin, cos) with sin = |w| / 2 from the skew part w
+    and cos = (tr R - 1) / 2. Unlike arccos of the cosine alone, this keeps
+    full precision near 0 and near pi.
     """
     r = np.asarray(rotation, dtype=np.float64)
-    trace = np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0)
-    theta = np.arccos(trace)
+    w = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    sin2 = np.linalg.norm(w)
+    theta = np.arctan2(sin2 / 2.0, (np.trace(r) - 1.0) / 2.0)
     if theta < 1e-8:
         # first-order: R ~ I + skew(w)
-        return np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]]) / 2.0
+        return w / 2.0
     if np.pi - theta < 1e-6:
         # R ~ 2 aa^T - I; pull the axis off the diagonal
         axis2 = np.clip((np.diag(r) + 1.0) / 2.0, 0.0, None)
@@ -126,17 +133,20 @@ def log_so3(rotation) -> np.ndarray:
         if nz.size and axis[nz[0]] < 0:
             axis = -axis
         return theta * axis / np.linalg.norm(axis)
-    w = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    return theta / (2.0 * np.sin(theta)) * w
+    return theta / sin2 * w
 
 
 def project_rotation(m) -> np.ndarray:
-    """Nearest rotation matrix (polar projection via SVD, det forced to +1)."""
+    """Nearest rotation matrix (polar projection via SVD, det forced to +1).
+
+    Accepts a stack of matrices, shape (..., 3, 3), projecting each.
+    """
     u, _, vt = np.linalg.svd(np.asarray(m, dtype=np.float64))
     r = u @ vt
-    if np.linalg.det(r) < 0:
+    flip = np.linalg.det(r) < 0
+    if flip.any():
         u = u.copy()
-        u[:, -1] = -u[:, -1]
+        u[..., -1] = np.where(flip[..., None], -u[..., -1], u[..., -1])
         r = u @ vt
     return r
 

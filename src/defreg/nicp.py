@@ -10,6 +10,13 @@ minimizes
 
 by damped Gauss-Newton steps on the stacked per-node axis-angle and
 translation increments [w_1..w_V, dt_1..dt_V], linearized at w = 0.
+
+The source points are fixed, so `solve` assigns them to nodes once and
+reuses that assignment for every residual and cost. Each step assembles
+the 6V x 6V normal equations directly from per-residual Jacobian blocks:
+a correspondence touches the 2k block columns of its k nodes, an edge
+three. `jacobian` builds the full dense Jacobian and is the reference
+the block assembly is tested against.
 """
 
 from __future__ import annotations
@@ -64,10 +71,9 @@ class WarpField:
             raise ValidationError("transform count does not match node count")
         if not (np.isfinite(rot).all() and np.isfinite(tra).all()):
             raise ValidationError("non-finite transform")
-        eye = np.eye(3)
-        for r in rot:
-            if np.abs(r.T @ r - eye).max() > 1e-9 or np.linalg.det(r) < 0:
-                raise ValidationError("rotation is not orthonormal")
+        gram = np.einsum("vba,vbc->vac", rot, rot)
+        if (np.abs(gram - np.eye(3)) > 1e-9).any() or (np.linalg.det(rot) < 0).any():
+            raise ValidationError("rotation is not orthonormal")
         object.__setattr__(self, "rotations", rot)
         object.__setattr__(self, "translations", tra)
 
@@ -81,12 +87,19 @@ class WarpField:
         pts = _points_array(points)
         graph = self.graph
         order, weights = assign_points(pts, graph.nodes, graph.assign_k, graph.coverage)
-        out = np.zeros_like(pts)
-        for col in range(order.shape[1]):
-            j = order[:, col]
-            local = np.einsum("nab,nb->na", self.rotations[j], pts - graph.nodes[j])
-            out += weights[:, col, None] * (local + graph.nodes[j] + self.translations[j])
-        return out
+        return _blend(self, pts, order, weights)
+
+
+def _blend(field: WarpField, pts: np.ndarray, order: np.ndarray,
+           weights: np.ndarray) -> np.ndarray:
+    """The warp at points already assigned to nodes (order, weights)."""
+    nodes = field.graph.nodes
+    out = np.zeros_like(pts)
+    for col in range(order.shape[1]):
+        j = order[:, col]
+        local = np.einsum("nab,nb->na", field.rotations[j], pts - nodes[j])
+        out += weights[:, col, None] * (local + nodes[j] + field.translations[j])
+    return out
 
 
 def warp_point(p, field: WarpField) -> np.ndarray:
@@ -124,10 +137,17 @@ def residuals(field: WarpField, corr: CorrespondenceSet, edges: np.ndarray,
               config: SolverConfig) -> np.ndarray:
     """Stacked residual vector: 3 per correspondence, then 3 per edge."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return _residual_vector(field, corr, edges, config, *_corr_assignment(field, corr))
+
+
+def _residual_vector(field: WarpField, corr: CorrespondenceSet, edges: np.ndarray,
+                     config: SolverConfig, order: np.ndarray,
+                     weights: np.ndarray) -> np.ndarray:
+    """`residuals` with the correspondences already assigned to nodes."""
     n = len(corr)
     r = np.zeros(3 * n + 3 * edges.shape[0])
     sc = np.sqrt(config.lambda_corr)
-    r[: 3 * n] = (sc * (field.warp(corr.source) - corr.target)).ravel()
+    r[: 3 * n] = (sc * (_blend(field, corr.source, order, weights) - corr.target)).ravel()
     if edges.shape[0]:
         u, v = edges[:, 0], edges[:, 1]
         nodes = field.graph.nodes
@@ -154,7 +174,7 @@ def jacobian(field: WarpField, corr: CorrespondenceSet, edges: np.ndarray,
         alpha = weights[:, col]
         lever = np.einsum("nab,nb->na", field.rotations[j], corr.source - graph.nodes[j])
         # d r_corr / d w_j = -sqrt(lc) * alpha * skew(R_j (x - v_j))
-        blocks = -sc * alpha[:, None, None] * _skew_batch(lever)
+        blocks = -sc * alpha[:, None, None] * skew(lever)
         cols = 3 * j
         for a in range(3):
             for b in range(3):
@@ -163,7 +183,7 @@ def jacobian(field: WarpField, corr: CorrespondenceSet, edges: np.ndarray,
     if e:
         u, w = edges[:, 0], edges[:, 1]
         lever = np.einsum("eab,eb->ea", field.rotations[u], graph.nodes[w] - graph.nodes[u])
-        blocks = -sr * _skew_batch(lever)
+        blocks = -sr * skew(lever)
         erows = 3 * n + 3 * np.arange(e)
         for a in range(3):
             for b in range(3):
@@ -173,25 +193,91 @@ def jacobian(field: WarpField, corr: CorrespondenceSet, edges: np.ndarray,
     return jac
 
 
-def _skew_batch(vecs: np.ndarray) -> np.ndarray:
-    out = np.zeros((vecs.shape[0], 3, 3))
-    out[:, 0, 1] = -vecs[:, 2]
-    out[:, 0, 2] = vecs[:, 1]
-    out[:, 1, 0] = vecs[:, 2]
-    out[:, 1, 2] = -vecs[:, 0]
-    out[:, 2, 0] = -vecs[:, 1]
-    out[:, 2, 1] = vecs[:, 0]
-    return out
+@dataclass(frozen=True)
+class _Problem:
+    """What stays fixed while a solve iterates: the correspondences'
+    assignment to nodes, and the flat positions in the normal equations of
+    every entry of each residual's Jacobian-block products."""
+
+    corr: CorrespondenceSet
+    edges: np.ndarray
+    config: SolverConfig
+    order: np.ndarray           # (N, k') node indices per correspondence
+    weights: np.ndarray         # (N, k') skinning weights
+    normal_index: np.ndarray    # flat index into the 6V x 6V matrix
+    gradient_index: np.ndarray  # index into the 6V gradient
+
+    def residuals(self, field: WarpField) -> np.ndarray:
+        return _residual_vector(field, self.corr, self.edges, self.config,
+                                self.order, self.weights)
 
 
-def _step_vector(field: WarpField, corr: CorrespondenceSet, edges: np.ndarray,
-                 config: SolverConfig) -> np.ndarray:
-    r = residuals(field, corr, edges, config)
-    jac = jacobian(field, corr, edges, config)
-    normal = jac.T @ jac
-    normal[np.diag_indices_from(normal)] += config.marquardt
+def _problem(graph: DeformationGraph, corr: CorrespondenceSet,
+             config: SolverConfig) -> _Problem:
+    """Assign the correspondences once and lay out the block scatter over
+    the graph's own edges.
+
+    Block columns count in units of 3 unknowns: node j's rotation is block
+    j, its translation block V + j. A correspondence touches the rotation
+    and translation blocks of its k' nodes, an edge (u, w) the rotation of
+    u and the translations of u and w.
+    """
+    edges = np.asarray(graph.edges, dtype=np.int64).reshape(-1, 2)
+    order, weights = assign_points(corr.source, graph.nodes, graph.assign_k, graph.coverage)
+    v = graph.num_nodes
+    corr_cols = np.concatenate([order, v + order], axis=1)
+    edge_cols = np.stack([edges[:, 0], v + edges[:, 0], v + edges[:, 1]], axis=1)
+    normal_index, gradient_index = [], []
+    for cols in (corr_cols, edge_cols):
+        unknowns = (3 * cols[:, :, None] + np.arange(3)).reshape(cols.shape[0], 3 * cols.shape[1])
+        normal_index.append((6 * v * unknowns[:, :, None] + unknowns[:, None, :]).ravel())
+        gradient_index.append(unknowns.ravel())
+    return _Problem(corr, edges, config, order, weights,
+                    np.concatenate(normal_index), np.concatenate(gradient_index))
+
+
+def _jacobian_blocks(field: WarpField, problem: _Problem):
+    """Each residual's three rows of `jacobian`, restricted to the block
+    columns it touches, in `_problem`'s column order: (N, 3, 6k') for the
+    correspondences and (E, 3, 9) for the edges. Every other entry of
+    those rows is zero."""
+    nodes = field.graph.nodes
+    sc = np.sqrt(problem.config.lambda_corr)
+    sr = np.sqrt(problem.config.lambda_reg)
+    order, alpha = problem.order, problem.weights[:, :, None, None]
+    lever = np.einsum("nkab,nkb->nka", field.rotations[order],
+                      problem.corr.source[:, None, :] - nodes[order])
+    # d r_corr / d w_j = -sqrt(lc) * alpha * skew(R_j (x - v_j)); d / d dt_j = sqrt(lc) * alpha
+    corr_blocks = np.concatenate([-sc * alpha * skew(lever), sc * alpha * np.eye(3)], axis=1)
+    u, w = problem.edges[:, 0], problem.edges[:, 1]
+    lever = np.einsum("eab,eb->ea", field.rotations[u], nodes[w] - nodes[u])
+    eye = np.broadcast_to(np.eye(3), lever.shape + (3,))
+    edge_blocks = sr * np.stack([-skew(lever), eye, -eye], axis=1)
+    # (m, blocks, 3 rows, 3 cols) -> (m, 3 rows, blocks * 3 cols)
+    return tuple(b.transpose(0, 2, 1, 3).reshape(b.shape[0], 3, 3 * b.shape[1])
+                 for b in (corr_blocks, edge_blocks))
+
+
+def _normal_equations(field: WarpField, problem: _Problem):
+    """J^T J and J^T r at the field, summed from per-residual blocks."""
+    r = problem.residuals(field).reshape(-1, 3)
+    n = len(problem.corr)
+    products, gradients = [], []
+    for jac, res in zip(_jacobian_blocks(field, problem), (r[:n], r[n:])):
+        products.append(np.matmul(jac.transpose(0, 2, 1), jac).ravel())
+        gradients.append(np.einsum("mai,ma->mi", jac, res).ravel())
+    size = 6 * field.graph.num_nodes
+    normal = np.bincount(problem.normal_index, np.concatenate(products),
+                         minlength=size * size).reshape(size, size)
+    gradient = np.bincount(problem.gradient_index, np.concatenate(gradients), minlength=size)
+    return normal, gradient
+
+
+def _step_vector(field: WarpField, problem: _Problem) -> np.ndarray:
+    normal, gradient = _normal_equations(field, problem)
+    normal[np.diag_indices_from(normal)] += problem.config.marquardt
     try:
-        delta = np.linalg.solve(normal, -(jac.T @ r))
+        delta = np.linalg.solve(normal, -gradient)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("solver breakdown: singular normal equations") from exc
     if not np.isfinite(delta).all():
@@ -205,15 +291,12 @@ def _apply_step(field: WarpField, delta: np.ndarray) -> WarpField:
     v = field.graph.num_nodes
     omegas = delta[: 3 * v].reshape(v, 3)
     shifts = delta[3 * v:].reshape(v, 3)
-    rotations = np.empty_like(field.rotations)
-    for j in range(v):
-        rotations[j] = project_rotation(exp_so3(omegas[j]) @ field.rotations[j])
+    rotations = project_rotation(exp_so3(omegas) @ field.rotations)
     return WarpField(field.graph, rotations, field.translations + shifts)
 
 
-def _cost(field: WarpField, corr: CorrespondenceSet, edges: np.ndarray,
-          config: SolverConfig) -> float:
-    r = residuals(field, corr, edges, config)
+def _cost(field: WarpField, problem: _Problem) -> float:
+    r = problem.residuals(field)
     return float(r @ r)
 
 
@@ -222,9 +305,9 @@ def gauss_newton_step(field: WarpField, corr: CorrespondenceSet,
     """One damped step on the field's own edges; returns (field, new cost)."""
     if len(corr) < 1:
         raise ValidationError("no correspondences")
-    edges = field.graph.edges
-    updated = _apply_step(field, _step_vector(field, corr, edges, config))
-    return updated, _cost(updated, corr, edges, config)
+    problem = _problem(field.graph, corr, config)
+    updated = _apply_step(field, _step_vector(field, problem))
+    return updated, _cost(updated, problem)
 
 
 def solve(corr: CorrespondenceSet, source: PointCloud, config: SolverConfig,
@@ -242,19 +325,19 @@ def solve(corr: CorrespondenceSet, source: PointCloud, config: SolverConfig,
         raise ValidationError("no correspondences")
     if graph is None:
         graph = build_graph(source, coverage, assign_k)
-    edges = graph.edges
+    problem = _problem(graph, corr, config)
     field = WarpField.identity(graph)
-    cost = _cost(field, corr, edges, config)
+    cost = _cost(field, problem)
     trace = [cost]
     for _ in range(config.max_iterations):
         try:
-            delta = _step_vector(field, corr, edges, config)
+            delta = _step_vector(field, problem)
         except NumericalError as exc:
             raise NumericalError(f"{exc} (iteration {len(trace)})") from exc
         if np.abs(delta).max() < config.step_tolerance:
             break
         candidate = _apply_step(field, delta)
-        new_cost = _cost(candidate, corr, edges, config)
+        new_cost = _cost(candidate, problem)
         if new_cost > cost:
             break
         field = candidate

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from defreg import defgraph
 from defreg.defgraph import (
     assign_points,
     build_graph,
@@ -181,6 +182,59 @@ def test_assign_points_matches_graph_assignment():
     order, weights = assign_points(cloud.points, graph.nodes, graph.assign_k, graph.coverage)
     np.testing.assert_array_equal(order, graph.point_to_nodes)
     np.testing.assert_array_equal(weights, graph.point_weights)
+
+
+def _stable_argsort_assignment(points, nodes, assign_k, bandwidth):
+    """The reference rule: stable argsort of every row of the full N x V
+    squared-distance matrix."""
+    d2 = np.sum((points[:, None, :] - nodes[None, :, :]) ** 2, axis=2)
+    order = np.argsort(d2, axis=1, kind="stable")[:, :min(assign_k, nodes.shape[0])]
+    weights = np.exp(-(np.take_along_axis(d2, order, axis=1)
+                       - np.take_along_axis(d2, order[:, :1], axis=1))
+                     / (2.0 * bandwidth * bandwidth))
+    return order, weights / weights.sum(axis=1, keepdims=True)
+
+
+def test_assign_points_exact_ties_go_to_lower_node_index():
+    # the point sits at the center of a square of four nodes: every node is
+    # at the same distance, so the two kept are the two lowest indices,
+    # whichever candidates the partial selection happened to pick
+    nodes = np.array([[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [1.0, -1.0, 0.0],
+                      [-1.0, -1.0, 0.0], [5.0, 0.0, 0.0]])
+    order, weights = assign_points(np.zeros((1, 3)), nodes[::-1], 2, 1.0)
+    np.testing.assert_array_equal(order, [[1, 2]])
+    np.testing.assert_array_equal(weights, [[0.5, 0.5]])
+    # tie straddling the cut: nodes 3 and 0 tie for the second slot
+    nodes = np.array([[2.0, 0.0, 0.0], [0.0, 3.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+    order, _ = assign_points(np.zeros((1, 3)), nodes, 2, 1.0)
+    np.testing.assert_array_equal(order, [[2, 0]])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_assign_points_equals_stable_argsort(seed):
+    rng = np.random.default_rng(seed)
+    v = int(rng.integers(1, 40))
+    if seed % 2:
+        # integer grid coordinates: many exact distance ties
+        points = rng.integers(0, 4, size=(300, 3)).astype(np.float64)
+        nodes = rng.integers(0, 4, size=(v, 3)).astype(np.float64)
+    else:
+        points, nodes = rng.normal(size=(300, 3)), rng.normal(size=(v, 3))
+    for k in (1, 3, 6, v + 2):
+        order, weights = assign_points(points, nodes, k, 0.7)
+        ref_order, ref_weights = _stable_argsort_assignment(points, nodes, k, 0.7)
+        np.testing.assert_array_equal(order, ref_order)
+        np.testing.assert_array_equal(weights, ref_weights)
+
+
+def test_assign_points_is_chunk_invariant(monkeypatch):
+    rng = np.random.default_rng(30)
+    points, nodes = rng.normal(size=(500, 3)), rng.normal(size=(25, 3))
+    whole = assign_points(points, nodes, 6, 0.5)
+    monkeypatch.setattr(defgraph, "_ASSIGN_CHUNK_ENTRIES", 7 * 25)
+    chunked = assign_points(points, nodes, 6, 0.5)
+    np.testing.assert_array_equal(whole[0], chunked[0])
+    np.testing.assert_array_equal(whole[1], chunked[1])
 
 
 def test_graph_dump_mentions_every_record():

@@ -55,6 +55,29 @@ def test_log_so3_near_pi():
     np.testing.assert_allclose(back, omega, atol=1e-6)
 
 
+def test_exp_log_round_trip_is_exact_up_to_near_pi():
+    # the angle comes from atan2, not arccos of the trace, so no digits are
+    # lost at small angles or approaching the near-pi branch's cut-off
+    rng = np.random.default_rng(12)
+    angles = np.concatenate([[1e-7, 1e-4, 0.5, 3.0, np.pi - 1e-2, np.pi - 1e-3],
+                             rng.uniform(0.0, np.pi - 1e-3, size=200)])
+    for angle in angles:
+        axis = rng.normal(size=3)
+        rot = exp_so3(angle * axis / np.linalg.norm(axis))
+        assert np.abs(exp_so3(log_so3(rot)) - rot).max() < 1e-12, angle
+
+
+def test_rotation_helpers_on_stacks_match_single_calls():
+    rng = np.random.default_rng(13)
+    omegas = rng.normal(size=(40, 3)) * rng.choice([0.0, 1e-9, 1e-3, 1.0, 3.0], size=(40, 1))
+    mats = rng.normal(size=(40, 3, 3))
+    np.testing.assert_array_equal(skew(omegas), np.stack([skew(w) for w in omegas]))
+    np.testing.assert_array_equal(exp_so3(omegas), np.stack([exp_so3(w) for w in omegas]))
+    stacked = project_rotation(mats)
+    np.testing.assert_array_equal(stacked, np.stack([project_rotation(m) for m in mats]))
+    assert (np.linalg.det(stacked) > 0).all()
+
+
 def test_skew_zero_and_cross_product():
     np.testing.assert_array_equal(skew(np.zeros(3)), np.zeros((3, 3)))
     np.testing.assert_array_equal(skew([1.0, 0.0, 0.0]) @ [0.0, 1.0, 0.0], [0.0, 0.0, 1.0])

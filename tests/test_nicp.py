@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from defreg import nicp
 from defreg.consistency import CorrespondenceSet
 from defreg.defgraph import build_graph
 from defreg.errors import FileFormatError, NumericalError, ValidationError
-from defreg.geometry import PointCloud, exp_so3
+from defreg.geometry import PointCloud, exp_so3, project_rotation
 from defreg.nicp import (
     SolveResult,
     SolverConfig,
@@ -64,8 +65,22 @@ def test_warp_field_validation():
         WarpField(graph, np.eye(3)[None].repeat(2, axis=0), np.zeros((2, 3)))
     with pytest.raises(ValidationError, match="orthonormal"):
         WarpField(graph, (2.0 * np.eye(3))[None], np.zeros((1, 3)))
+    with pytest.raises(ValidationError, match="orthonormal"):
+        WarpField(graph, np.diag([1.0, 1.0, -1.0])[None], np.zeros((1, 3)))
     with pytest.raises(ValidationError, match="finite"):
         WarpField(graph, np.eye(3)[None], np.full((1, 3), np.nan))
+
+
+def test_warp_field_validation_checks_every_node():
+    graph = build_graph(_grid_cloud(), 0.08, 4)
+    rotations = np.tile(np.eye(3), (graph.num_nodes, 1, 1))
+    # a drift in one entry of the last node: R^T R moves by about twice it
+    rotations[-1] = exp_so3([0.1, 0.2, 0.3])
+    rotations[-1, 0, 0] += 1e-8
+    with pytest.raises(ValidationError, match="orthonormal"):
+        WarpField(graph, rotations, np.zeros((graph.num_nodes, 3)))
+    rotations[-1, 0, 0] -= 1e-8 - 1e-10
+    WarpField(graph, rotations, np.zeros((graph.num_nodes, 3)))
 
 
 # -------------------------------------------------------------- residuals
@@ -164,6 +179,108 @@ def test_jacobian_matches_finite_differences():
     assert np.abs(jac - fd).max() / scale < 1e-5
     # translation columns are exact: the problem is linear in them
     assert np.abs(jac[:, 3 * v:] - fd[:, 3 * v:]).max() < 1e-9
+
+
+# ------------------------------------------- block-assembled normal equations
+
+def _bent_instance(seed, assign_k=6):
+    """A two-lobe scene with a graph of V >= 10 nodes (with edges unless
+    assign_k is 1), and a field away from the identity."""
+    spec = SceneSpec(point_count=240, surface="two-lobe", warp_kind="smooth-graph",
+                     warp_magnitude=(0.2, 0.05), inlier_ratio=1.0,
+                     inlier_noise_std=0.005, seed=seed)
+    src, _, _, corr = generate_scene(spec)
+    graph = build_graph(src, 0.08, assign_k)
+    assert graph.num_nodes >= 10
+    assert (graph.edges.shape[0] > 0) == (assign_k > 1)
+    rng = np.random.default_rng(seed)
+    field = WarpField(graph, exp_so3(rng.normal(scale=0.3, size=(graph.num_nodes, 3))),
+                      rng.normal(scale=0.05, size=(graph.num_nodes, 3)))
+    return src, corr, graph, field
+
+
+@pytest.mark.parametrize("assign_k", [6, 1])
+def test_block_normal_equations_equal_dense_products(assign_k):
+    _, corr, graph, field = _bent_instance(3, assign_k)
+    cfg = SolverConfig(lambda_corr=25.0, lambda_reg=0.7)
+    normal, gradient = nicp._normal_equations(field, nicp._problem(graph, corr, cfg))
+    jac = jacobian(field, corr, graph.edges, cfg)
+    r = residuals(field, corr, graph.edges, cfg)
+    for block, dense in ((normal, jac.T @ jac), (gradient, jac.T @ r)):
+        assert block.shape == dense.shape
+        assert np.abs(block - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def _dense_reference_solve(corr, graph, cfg):
+    """The solver loop on the dense Jacobian, one node at a time: the
+    oracle for `solve`. Returns (cost trace, final field)."""
+    v = graph.num_nodes
+
+    def cost(f):
+        r = residuals(f, corr, graph.edges, cfg)
+        return float(r @ r)
+
+    field = WarpField.identity(graph)
+    current = cost(field)
+    trace = [current]
+    for _ in range(cfg.max_iterations):
+        jac = jacobian(field, corr, graph.edges, cfg)
+        r = residuals(field, corr, graph.edges, cfg)
+        delta = np.linalg.solve(jac.T @ jac + cfg.marquardt * np.eye(6 * v), -(jac.T @ r))
+        if np.abs(delta).max() < cfg.step_tolerance:
+            break
+        rot = np.stack([project_rotation(exp_so3(delta[3 * j:3 * j + 3]) @ field.rotations[j])
+                        for j in range(v)])
+        candidate = WarpField(graph, rot, field.translations + delta[3 * v:].reshape(v, 3))
+        new = cost(candidate)
+        if new > current:
+            break
+        field = candidate
+        trace.append(new)
+        converged = (current - new) <= cfg.cost_tolerance * current
+        current = new
+        if converged:
+            break
+    return trace, field
+
+
+@pytest.mark.parametrize("assign_k", [6, 1])
+def test_solve_matches_dense_reference_loop(assign_k):
+    src, corr, graph, _ = _bent_instance(5, assign_k)
+    cfg = SolverConfig(max_iterations=8)
+    result = solve(corr, src, cfg, graph=graph)
+    trace, field = _dense_reference_solve(corr, graph, cfg)
+    assert len(result.cost_trace) == len(trace) > 2
+    got, want = np.array(result.cost_trace), np.array(trace)
+    assert np.abs(got - want).max() <= 1e-12 * want.max()
+    np.testing.assert_allclose(result.field.rotations, field.rotations, atol=1e-10)
+    np.testing.assert_allclose(result.field.translations, field.translations, atol=1e-10)
+
+
+def test_solver_never_builds_the_dense_jacobian(monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("the solver built the dense Jacobian")
+
+    monkeypatch.setattr(nicp, "jacobian", dense)
+    src, corr, graph, _ = _bent_instance(6)
+    result = solve(corr, src, SolverConfig(max_iterations=3))
+    assert len(result.cost_trace) > 1
+    gauss_newton_step(WarpField.identity(graph), corr, SolverConfig())
+
+
+def test_solve_assigns_correspondences_once(monkeypatch):
+    calls = []
+    original = nicp.assign_points
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return original(*args)
+
+    src, corr, graph, _ = _bent_instance(7)
+    monkeypatch.setattr(nicp, "assign_points", counting)
+    result = solve(corr, src, SolverConfig(max_iterations=4), graph=graph)
+    assert len(result.cost_trace) > 2
+    assert calls == [len(corr)]
 
 
 # ------------------------------------------------------------ newton steps
