@@ -43,8 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", metavar="FILE", help="pipeline config JSON")
     parser.add_argument("--seed", type=int, help="override every seed (scene, model, training)")
-    parser.add_argument("--threads", type=int,
-                        help="reserved; accepted for interface stability, computation is single-threaded")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate one synthetic scene bundle")
@@ -103,8 +101,6 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    if args.threads is not None and args.threads < 1:
-        raise ValidationError("--threads must be >= 1")
     config = load_config(args.config) if args.config else PipelineConfig()
     if args.seed is not None:
         config = with_seed(config, args.seed)
@@ -126,8 +122,6 @@ def _cmd_synth(args, config: PipelineConfig) -> int:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"bad scene spec {args.spec}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise FileFormatError("scene spec must hold a JSON object")
     spec = spec_from_dict(data)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)

@@ -1,17 +1,22 @@
 """Flat pipeline configuration: one JSON document, every tunable key.
 
-The same document feeds graph building, pruning, the network, training,
-and the solver; helpers below slice it into the per-module config
-objects. Unknown keys are rejected at load so typos cannot silently
-fall back to defaults.
+Each key's default, type and bound is declared once, on the dataclass of
+the stage that consumes it: the graph and pruning keys on `_GraphConfig`
+below, the solver keys on `nicp.SolverConfig`, the network keys on
+`scnet.ScNetConfig` and the training keys on `training.TrainConfig`.
+`PipelineConfig` is derived from their fields; the two `seed` fields
+become `model_seed` and `train_seed`, and the network widths follow from
+`feature_dim`. Building a document builds every slice, so a value that
+any stage would reject is rejected at load. Unknown keys are rejected
+too, so typos cannot silently fall back to defaults.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, make_dataclass, replace
 
-from defreg.errors import FileFormatError, ValidationError
+from defreg.errors import FileFormatError, ValidationError, check_fields, from_document, positive
 from defreg.nicp import SolverConfig
 from defreg.scnet.model import ScNetConfig
 from defreg.training import TrainConfig
@@ -28,67 +33,61 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
+class _GraphConfig:
     # pruning graph (over correspondence source points) and consistency
-    prune_coverage: float = 0.08
+    prune_coverage: float = positive(0.08)
     prune_assign_k: int = 6
-    consistency_sigma: float = 0.08
-    score_threshold: float = 0.4
+    consistency_sigma: float = positive(0.08)
+    score_threshold: float = positive(0.4)
     # solver graph (over the full source cloud)
-    solver_coverage: float = 0.08
+    solver_coverage: float = positive(0.08)
     solver_assign_k: int = 6
-    # solver
-    lambda_corr: float = 25.0
-    lambda_reg: float = 1.0
-    marquardt: float = 0.01
-    max_iterations: int = 50
-    cost_tolerance: float = 1e-6
-    step_tolerance: float = 1e-6
-    # network
-    feature_dim: int = 256
-    num_blocks: int = 3
-    units_per_block: int = 2
-    num_groups: int = 8
-    leaky_slope: float = 0.01
-    model_seed: int = 0
-    # training
-    epochs: int = 40
-    learning_rate: float = 1e-4
-    lr_decay_per_epoch: float = 0.05
-    weight_decay: float = 1e-6
-    focal_gamma: float = 2.0
-    tau_d: float = 0.04
-    loss_lambda: float = 1.0
-    train_seed: int = 0
-    augment: bool = False
 
     def __post_init__(self):
-        positive = (
-            "prune_coverage", "consistency_sigma", "score_threshold", "solver_coverage",
-            "lambda_corr", "lambda_reg", "marquardt", "cost_tolerance", "step_tolerance",
-            "tau_d", "learning_rate",
-        )
-        for key in positive:
-            if getattr(self, key) <= 0:
-                raise ValidationError(f"{key} must be positive")
-        at_least_one = (
-            "prune_assign_k", "solver_assign_k", "max_iterations", "feature_dim",
-            "num_blocks", "units_per_block", "num_groups", "epochs",
-        )
-        for key in at_least_one:
-            value = getattr(self, key)
-            if not isinstance(value, int) or value < 1:
-                raise ValidationError(f"{key} must be an integer >= 1")
-        nonnegative = ("weight_decay", "focal_gamma", "loss_lambda", "leaky_slope")
-        for key in nonnegative:
-            if getattr(self, key) < 0:
-                raise ValidationError(f"{key} must be nonnegative")
-        if not 0.0 < self.score_threshold <= 1.0:
+        check_fields(self)
+        if self.score_threshold > 1.0:
             raise ValidationError("score_threshold must be in (0, 1]")
-        if not 0.0 <= self.lr_decay_per_epoch < 1.0:
-            raise ValidationError("lr_decay_per_epoch must be in [0, 1)")
-        if self.feature_dim < 4:
-            raise ValidationError("feature_dim must be at least 4")
+
+
+# every slice of the document, with the keys its renamed fields go by
+_SLICES = {
+    _GraphConfig: {},
+    SolverConfig: {},
+    ScNetConfig: {"seed": "model_seed"},
+    TrainConfig: {"seed": "train_seed"},
+}
+# ScNetConfig fields that follow from feature_dim instead of being keys
+_WIDTHS = ("init_widths", "head_widths")
+
+
+def _slice(config, cls):
+    """The cls config that the document's keys describe."""
+    renames = _SLICES[cls]
+    kwargs = {f.name: getattr(config, renames.get(f.name, f.name))
+              for f in fields(cls) if f.name not in _WIDTHS}
+    if cls is ScNetConfig:
+        d = config.feature_dim
+        kwargs.update(init_widths=(d, d, d), head_widths=(d // 2, d // 4, 1))
+    return cls(**kwargs)
+
+
+def _check_document(config) -> None:
+    check_fields(config)  # first, so a bad seed is named model_seed or train_seed
+    for cls in _SLICES:
+        _slice(config, cls)
+
+
+PipelineConfig = make_dataclass(
+    "PipelineConfig",
+    [(renames.get(f.name, f.name), f.type, field(default=f.default, metadata=f.metadata))
+     for cls, renames in _SLICES.items() for f in fields(cls) if f.name not in _WIDTHS],
+    namespace={
+        "__module__": __name__,
+        "__doc__": "The flat config document; one field per key of the module configs.",
+        "__post_init__": _check_document,
+    },
+    frozen=True,
+)
 
 
 def load_config(path) -> PipelineConfig:
@@ -97,13 +96,7 @@ def load_config(path) -> PipelineConfig:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"bad config file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise FileFormatError("config file must hold a JSON object")
-    known = set(PipelineConfig.__dataclass_fields__)
-    unknown = set(data) - known
-    if unknown:
-        raise ValidationError(f"unknown config key: {sorted(unknown)[0]}")
-    return PipelineConfig(**data)
+    return from_document(PipelineConfig, data, "config")
 
 
 def save_config(path, config: PipelineConfig) -> None:
@@ -118,39 +111,12 @@ def with_seed(config: PipelineConfig, seed: int) -> PipelineConfig:
 
 
 def scnet_config(config: PipelineConfig) -> ScNetConfig:
-    d = config.feature_dim
-    return ScNetConfig(
-        feature_dim=d,
-        init_widths=(d, d, d),
-        head_widths=(d // 2, d // 4, 1),
-        num_blocks=config.num_blocks,
-        units_per_block=config.units_per_block,
-        num_groups=config.num_groups,
-        leaky_slope=config.leaky_slope,
-        seed=config.model_seed,
-    )
+    return _slice(config, ScNetConfig)
 
 
 def solver_config(config: PipelineConfig) -> SolverConfig:
-    return SolverConfig(
-        lambda_corr=config.lambda_corr,
-        lambda_reg=config.lambda_reg,
-        marquardt=config.marquardt,
-        max_iterations=config.max_iterations,
-        cost_tolerance=config.cost_tolerance,
-        step_tolerance=config.step_tolerance,
-    )
+    return _slice(config, SolverConfig)
 
 
 def train_config(config: PipelineConfig) -> TrainConfig:
-    return TrainConfig(
-        epochs=config.epochs,
-        learning_rate=config.learning_rate,
-        lr_decay_per_epoch=config.lr_decay_per_epoch,
-        weight_decay=config.weight_decay,
-        focal_gamma=config.focal_gamma,
-        label_tau_d=config.tau_d,
-        loss_lambda=config.loss_lambda,
-        seed=config.train_seed,
-        augment=config.augment,
-    )
+    return _slice(config, TrainConfig)

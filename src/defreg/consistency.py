@@ -21,7 +21,6 @@ __all__ = [
     "LocalConsistency",
     "pairwise_consistency",
     "local_consistency",
-    "theta_stats",
     "read_corr_csv",
     "write_corr_csv",
 ]
@@ -193,12 +192,3 @@ def read_corr_csv(path) -> CorrespondenceSet:
     if has_label and not np.isin(labels, (0, 1)).all():
         raise FileFormatError("labels must be 0 or 1")
     return CorrespondenceSet(coords[:, :3], coords[:, 3:], labels, scores)
-
-
-def theta_stats(local: LocalConsistency):
-    """Per-node (node, member_count, min, mean, max) rows for inspection."""
-    rows = []
-    for j in sorted(local.blocks):
-        block = local.blocks[j]
-        rows.append((j, block.shape[0], float(block.min()), float(block.mean()), float(block.max())))
-    return rows

@@ -2,14 +2,13 @@
 
 Everything downstream (graph construction, the solver, the scene
 generator) sits on the handful of operations in this module: axis-angle
-exponential/log maps, furthest point sampling with a coverage stop rule,
-and exhaustive k-nearest-neighbor queries. All distances are Euclidean
-and all coordinates are meters.
+exponential/log maps and furthest point sampling with a coverage stop
+rule. All distances are Euclidean and all coordinates are meters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,13 +16,11 @@ from defreg.errors import ValidationError
 
 __all__ = [
     "PointCloud",
-    "RigidTransform",
     "skew",
     "exp_so3",
     "log_so3",
     "project_rotation",
     "furthest_point_sample",
-    "knn",
 ]
 
 
@@ -151,41 +148,6 @@ def project_rotation(m) -> np.ndarray:
     return r
 
 
-@dataclass(frozen=True)
-class RigidTransform:
-    """Rotation + translation; the rotation must be orthonormal to 1e-9."""
-
-    rotation: np.ndarray
-    translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        rot = np.asarray(self.rotation, dtype=np.float64)
-        tr = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        if rot.shape != (3, 3) or not np.isfinite(rot).all() or not np.isfinite(tr).all():
-            raise ValidationError("bad rigid transform")
-        if np.abs(rot @ rot.T - np.eye(3)).max() > 1e-9 or abs(np.linalg.det(rot) - 1.0) > 1e-9:
-            raise ValidationError("rotation not orthonormal with det +1")
-        rot.setflags(write=False)
-        tr.setflags(write=False)
-        object.__setattr__(self, "rotation", rot)
-        object.__setattr__(self, "translation", tr)
-
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3))
-
-    def apply(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        return pts @ self.rotation.T + self.translation
-
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """self after other: (self * other)(p) = self(other(p))."""
-        return RigidTransform(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
-
 def furthest_point_sample(cloud, coverage: float, start_index: int = 0) -> np.ndarray:
     """Furthest point sampling until every point is covered.
 
@@ -213,19 +175,3 @@ def furthest_point_sample(cloud, coverage: float, start_index: int = 0) -> np.nd
         selected.append(far)
         dist2 = np.minimum(dist2, np.sum((pts - pts[far]) ** 2, axis=1))
     return np.asarray(selected, dtype=np.int64)
-
-
-def knn(query, cloud, k: int):
-    """k nearest points to ``query`` by exhaustive scan.
-
-    Returns ``(indices, distances)`` sorted ascending by distance, ties
-    broken by lower index (stable argsort on exact squared distances).
-    """
-    pts = cloud.points if isinstance(cloud, PointCloud) else _as_points(cloud)
-    n = pts.shape[0]
-    if not 1 <= k <= n:
-        raise ValidationError(f"insufficient points: k={k}, cloud has {n}")
-    q = np.asarray(query, dtype=np.float64).reshape(3)
-    d2 = np.sum((pts - q) ** 2, axis=1)
-    order = np.argsort(d2, kind="stable")[:k]
-    return order, np.sqrt(d2[order])

@@ -27,14 +27,13 @@ import numpy as np
 
 from defreg.consistency import CorrespondenceSet
 from defreg.defgraph import DeformationGraph, assign_points, build_graph
-from defreg.errors import FileFormatError, NumericalError, ValidationError
+from defreg.errors import FileFormatError, NumericalError, ValidationError, check_fields, positive
 from defreg.geometry import PointCloud, exp_so3, log_so3, project_rotation, skew
 
 __all__ = [
     "WarpField",
     "SolverConfig",
     "SolveResult",
-    "warp_point",
     "residuals",
     "jacobian",
     "gauss_newton_step",
@@ -102,24 +101,17 @@ def _blend(field: WarpField, pts: np.ndarray, order: np.ndarray,
     return out
 
 
-def warp_point(p, field: WarpField) -> np.ndarray:
-    return field.warp(np.asarray(p, dtype=np.float64))[0]
-
-
 @dataclass(frozen=True)
 class SolverConfig:
-    lambda_corr: float = 25.0
-    lambda_reg: float = 1.0
-    marquardt: float = 0.01
+    lambda_corr: float = positive(25.0)
+    lambda_reg: float = positive(1.0)
+    marquardt: float = positive(0.01)
     max_iterations: int = 50
-    cost_tolerance: float = 1e-6
-    step_tolerance: float = 1e-6
+    cost_tolerance: float = positive(1e-6)
+    step_tolerance: float = positive(1e-6)
 
     def __post_init__(self):
-        values = (self.lambda_corr, self.lambda_reg, self.marquardt,
-                  self.max_iterations, self.cost_tolerance, self.step_tolerance)
-        if any(v <= 0 for v in values):
-            raise ValidationError("solver parameters must be positive")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
-"""ASCII point-cloud file I/O: PLY (element vertex, float x/y/z) and XYZ text.
+"""ASCII point-cloud file I/O: PLY (element vertex, float x/y/z), and an XYZ text reader.
 
 Readers are strict about finiteness (NaN/Inf coordinates are rejected) and
 about the subset of PLY they claim to support: ASCII format, a single
 vertex element whose properties include x, y, z. Extra scalar properties
 are skipped by column; other elements are refused rather than guessed at.
 
-Writers format floats with repr (shortest round-trip), so written files
-are byte-stable across runs for identical inputs.
+The PLY writer formats floats with repr (shortest round-trip), so written
+files are byte-stable across runs for identical inputs.
 """
 
 from __future__ import annotations
@@ -108,10 +108,3 @@ def read_xyz(path) -> PointCloud:
     if not rows:
         raise FileFormatError(f"{path}: no points")
     return PointCloud(_finite_or_raise(np.asarray(rows, dtype=np.float64), path))
-
-
-def write_xyz(path, cloud: PointCloud) -> None:
-    """Write whitespace-separated XYZ text."""
-    with open(path, "w", encoding="ascii") as fh:
-        for p in cloud.points:
-            fh.write(f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}\n")

@@ -4,10 +4,8 @@ from defreg.scnet.model import (
     aggregate,
     classify,
     encode_input,
-    forward,
     run_forward,
     backward_through,
-    sca_self_attention,
 )
 from defreg.scnet.params_io import load_params, read_descriptor, save_params
 
@@ -17,10 +15,8 @@ __all__ = [
     "aggregate",
     "classify",
     "encode_input",
-    "forward",
     "run_forward",
     "backward_through",
-    "sca_self_attention",
     "load_params",
     "read_descriptor",
     "save_params",

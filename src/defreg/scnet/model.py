@@ -30,7 +30,7 @@ import numpy as np
 
 from defreg.consistency import CorrespondenceSet, LocalConsistency
 from defreg.defgraph import DeformationGraph, member_weights
-from defreg.errors import NumericalError, ValidationError
+from defreg.errors import NumericalError, ValidationError, check_fields, nonnegative
 from defreg.scnet.layers import (
     GroupNorm,
     LayerNorm,
@@ -46,10 +46,8 @@ __all__ = [
     "ScNetModel",
     "ScaUnit",
     "encode_input",
-    "sca_self_attention",
     "aggregate",
     "run_forward",
-    "forward",
     "backward_through",
     "classify",
 ]
@@ -66,24 +64,26 @@ class ScNetConfig:
     num_blocks: int = 3
     units_per_block: int = 2
     num_groups: int = 8
-    leaky_slope: float = 0.01
-    seed: int = 0
+    leaky_slope: float = nonnegative(0.01)
+    seed: int = nonnegative(0)
 
     def __post_init__(self):
+        check_fields(self)
         object.__setattr__(self, "init_widths", tuple(int(w) for w in self.init_widths))
         object.__setattr__(self, "head_widths", tuple(int(w) for w in self.head_widths))
-        if self.feature_dim < self.num_groups or self.init_widths[-1] != self.feature_dim:
+        if self.feature_dim < 2 * self.num_groups:
+            raise ValidationError("feature_dim must be at least 2 * num_groups")
+        if self.init_widths[-1] != self.feature_dim:
             raise ValidationError("init widths must end at feature_dim")
         if self.head_widths[-1] != 1:
             raise ValidationError("head must end in a single logit")
-        if self.num_blocks < 1 or self.units_per_block < 1:
-            raise ValidationError("need at least one block and one unit")
         for w in self.init_widths + self.head_widths[:-1]:
             if w % self.num_groups != 0:
                 raise ValidationError(f"num_groups {self.num_groups} does not divide width {w}")
             # a single-channel group normalizes to a constant and kills gradients
             if w // self.num_groups < 2:
-                raise ValidationError(f"width {w} leaves fewer than 2 channels per group")
+                raise ValidationError(f"num_groups {self.num_groups} leaves width {w} "
+                                      "fewer than 2 channels per group")
 
     def architecture(self) -> dict:
         """Descriptor of everything that determines the function shape (no seed)."""
@@ -235,12 +235,6 @@ def encode_input(corr: CorrespondenceSet) -> np.ndarray:
     return np.concatenate([centered, np.sin(0.5 * centered), np.cos(0.5 * centered)], axis=1)
 
 
-def sca_self_attention(features: np.ndarray, theta: np.ndarray, unit: ScaUnit) -> np.ndarray:
-    """One attention unit applied to one node's member features."""
-    out, _ = unit.forward(np.asarray(features, dtype=np.float64), np.asarray(theta, dtype=np.float64))
-    return out
-
-
 def aggregate(node_features: dict, graph: DeformationGraph) -> np.ndarray:
     """Blend per-node outputs into per-correspondence rows, h_i = sum_j a_ij z_i^j.
 
@@ -313,12 +307,6 @@ def run_forward(model: ScNetModel, corr: CorrespondenceSet, graph: DeformationGr
     logits, state.logit_cache = model.head_out.forward(feats)
     state.scores = sigmoid(logits[:, 0])
     return state
-
-
-def forward(corr: CorrespondenceSet, graph: DeformationGraph, theta: LocalConsistency,
-            model: ScNetModel) -> np.ndarray:
-    """Scores in (0, 1), one per correspondence."""
-    return run_forward(model, corr, graph, theta).scores
 
 
 def backward_through(model: ScNetModel, graph: DeformationGraph, state: ForwardState,

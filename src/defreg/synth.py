@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from defreg.consistency import CorrespondenceSet, read_corr_csv, write_corr_csv
 from defreg.defgraph import build_graph
-from defreg.errors import FileFormatError, ValidationError
+from defreg.errors import (FileFormatError, ValidationError, check_fields, from_document,
+                           nonnegative)
 from defreg.geometry import PointCloud, exp_so3
 from defreg.nicp import WarpField, read_warp_field, write_warp_field
 from defreg.pointcloud_io import read_ply, write_ply
@@ -28,7 +31,8 @@ SURFACES = ("plane-grid", "cylinder", "two-lobe")
 WARP_KINDS = ("global-rigid", "smooth-graph", "articulated-two-part")
 OUTLIER_MODES = ("uniform-in-bbox", "shuffled-target")
 
-# 3x the default labeling distance: outliers can never be mistaken for inliers
+# far beyond the largest inlier residual at the default noise (NOISE_TRUNCATION
+# x 0.005 m = 0.025 m): outliers can never be mistaken for inliers
 OUTLIER_MIN_RESIDUAL = 0.12
 NOISE_TRUNCATION = 5.0
 _FIELD_WAVELENGTH = 0.4
@@ -54,14 +58,13 @@ class SceneSpec:
     surface: str = "plane-grid"
     warp_kind: str = "smooth-graph"
     warp_magnitude: tuple = (0.2, 0.05)
-    inlier_ratio: float = 0.5
-    inlier_noise_std: float = 0.005
+    inlier_ratio: float = nonnegative(0.5)
+    inlier_noise_std: float = nonnegative(0.005)
     outlier_mode: str = "uniform-in-bbox"
-    seed: int = 0
+    seed: int = nonnegative(0)
 
     def __post_init__(self):
-        if self.point_count < 1:
-            raise ValidationError("point_count must be >= 1")
+        check_fields(self)
         if self.surface not in SURFACES:
             raise ValidationError(f"surface must be one of {', '.join(SURFACES)}")
         if self.warp_kind not in WARP_KINDS:
@@ -69,19 +72,16 @@ class SceneSpec:
         if self.outlier_mode not in OUTLIER_MODES:
             raise ValidationError(f"outlier_mode must be one of {', '.join(OUTLIER_MODES)}")
         mag = self.warp_magnitude
-        if np.isscalar(mag):
-            mag = (float(mag), float(mag))
-        else:
-            mag = tuple(float(m) for m in mag)
-            if len(mag) != 2:
-                raise ValidationError("warp_magnitude must be a scalar or (rotation, translation)")
-        if any(m < 0 or not np.isfinite(m) for m in mag):
+        if isinstance(mag, Real):
+            mag = (mag, mag)
+        if not isinstance(mag, (tuple, list)) or len(mag) != 2:
+            raise ValidationError("warp_magnitude must be a scalar or (rotation, translation)")
+        if any(isinstance(m, bool) or not isinstance(m, Real) or not 0 <= m <= sys.float_info.max
+               for m in mag):
             raise ValidationError("warp_magnitude must be nonnegative and finite")
-        object.__setattr__(self, "warp_magnitude", mag)
-        if not 0.0 <= self.inlier_ratio <= 1.0:
+        object.__setattr__(self, "warp_magnitude", tuple(float(m) for m in mag))
+        if self.inlier_ratio > 1.0:
             raise ValidationError("inlier_ratio must be in [0, 1]")
-        if self.inlier_noise_std < 0:
-            raise ValidationError("inlier_noise_std must be >= 0")
 
     def to_dict(self) -> dict:
         return {
@@ -97,14 +97,7 @@ class SceneSpec:
 
 
 def spec_from_dict(data: dict) -> SceneSpec:
-    known = set(SceneSpec.__dataclass_fields__)
-    unknown = set(data) - known
-    if unknown:
-        raise ValidationError(f"unknown scene key: {sorted(unknown)[0]}")
-    kwargs = dict(data)
-    if "warp_magnitude" in kwargs and isinstance(kwargs["warp_magnitude"], list):
-        kwargs["warp_magnitude"] = tuple(kwargs["warp_magnitude"])
-    return SceneSpec(**kwargs)
+    return from_document(SceneSpec, data, "scene")
 
 
 def _plane_grid(count: int) -> np.ndarray:

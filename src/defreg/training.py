@@ -24,7 +24,7 @@ import numpy as np
 
 from defreg.consistency import CorrespondenceSet, LocalConsistency, local_consistency
 from defreg.defgraph import DeformationGraph, build_graph
-from defreg.errors import NumericalError, ValidationError
+from defreg.errors import NumericalError, ValidationError, check_fields, nonnegative
 from defreg.geometry import exp_so3
 from defreg.scnet.model import ScNetConfig, ScNetModel, backward_through, run_forward
 
@@ -54,22 +54,18 @@ __all__ = [
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 40
-    learning_rate: float = 1e-4
-    lr_decay_per_epoch: float = 0.05
-    weight_decay: float = 1e-6
-    focal_gamma: float = 2.0
-    label_tau_d: float = 0.04
-    loss_lambda: float = 1.0
-    seed: int = 0
+    learning_rate: float = nonnegative(1e-4)
+    lr_decay_per_epoch: float = nonnegative(0.05)
+    weight_decay: float = nonnegative(1e-6)
+    focal_gamma: float = nonnegative(2.0)
+    loss_lambda: float = nonnegative(1.0)
+    seed: int = nonnegative(0)
     augment: bool = False
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValidationError("epochs must be >= 1")
-        if self.learning_rate < 0 or not 0 <= self.lr_decay_per_epoch < 1:
-            raise ValidationError("bad learning-rate schedule")
-        if self.weight_decay < 0 or self.focal_gamma < 0 or self.label_tau_d <= 0 or self.loss_lambda < 0:
-            raise ValidationError("negative training hyperparameter")
+        check_fields(self)
+        if self.lr_decay_per_epoch >= 1:
+            raise ValidationError("lr_decay_per_epoch must be in [0, 1)")
 
 
 @dataclass(frozen=True)

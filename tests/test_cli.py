@@ -198,16 +198,40 @@ def test_prune_rejects_mismatched_model(tmp_path, mini_dataset, config_path, cap
 
 # -------------------------------------------------------------- utilities
 
-def test_threads_flag_validated(tmp_path, spec_path, capsys):
-    assert main(["--threads", "0", "synth", spec_path, "--out", str(tmp_path / "s")]) == 2
-    assert "--threads" in capsys.readouterr().err
-    assert main(["--threads", "2", "synth", spec_path, "--out", str(tmp_path / "s")]) == 0
-
-
 def test_bad_config_file(tmp_path, spec_path, capsys):
     cfg = _write_json(tmp_path / "cfg.json", {"learning_rte": 0.1})
     assert main(["--config", cfg, "synth", spec_path, "--out", str(tmp_path / "s")]) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "document,key,value",
+    [
+        ("config", "lambda_corr", "25"),
+        ("config", "learning_rate", float("nan")),
+        ("config", "epochs", True),
+        ("config", "max_iterations", 2.5),
+        ("config", "lambda_corr", 10 ** 400),
+        ("config", "model_seed", -3),
+        ("spec", "point_count", "240"),
+        ("spec", "inlier_noise_std", float("nan")),
+        ("spec", "inlier_ratio", True),
+        ("spec", "point_count", 60.5),
+        ("spec", "seed", -4),
+    ],
+)
+def test_bad_document_value_exits_2_naming_the_key(tmp_path, capsys, document, key, value):
+    config, spec = {}, dict(SCENE_SPEC)
+    (config if document == "config" else spec)[key] = value
+    assert main(["--config", _write_json(tmp_path / "cfg.json", config), "synth",
+                 _write_json(tmp_path / "spec.json", spec), "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} ")
+
+
+@pytest.mark.parametrize("command", [["synth", "spec.json"], ["train", "--data", "data"]])
+def test_negative_seed_flag_exits_2(tmp_path, capsys, command):
+    assert main(["--seed", "-1", *command, "--out", str(tmp_path / "out")]) == 2
+    assert "seed must be an integer >= 0" in capsys.readouterr().err
 
 
 def test_gradcheck_passes(capsys):

@@ -1,11 +1,14 @@
 """The flat pipeline configuration document and its per-module slices."""
 
+import dataclasses
 import json
 
 import pytest
 
 from defreg.config import (
     PipelineConfig,
+    _GraphConfig,
+    _slice,
     load_config,
     save_config,
     scnet_config,
@@ -14,6 +17,9 @@ from defreg.config import (
     with_seed,
 )
 from defreg.errors import FileFormatError, ValidationError
+from defreg.nicp import SolverConfig
+from defreg.scnet.model import ScNetConfig
+from defreg.training import TrainConfig
 
 
 def test_defaults_are_valid_and_stable():
@@ -25,7 +31,6 @@ def test_defaults_are_valid_and_stable():
     assert cfg.feature_dim == 256
     assert cfg.epochs == 40
     assert cfg.focal_gamma == 2.0
-    assert cfg.tau_d == 0.04
 
 
 @pytest.mark.parametrize(
@@ -47,7 +52,7 @@ def test_validation_names_the_offending_key(kwargs, fragment):
 
 
 def test_save_load_round_trip(tmp_path):
-    cfg = PipelineConfig(feature_dim=32, epochs=7, learning_rate=3e-3,
+    cfg = PipelineConfig(feature_dim=32, num_groups=4, epochs=7, learning_rate=3e-3,
                          lambda_reg=0.5, train_seed=11, augment=True)
     path = tmp_path / "config.json"
     save_config(path, cfg)
@@ -88,7 +93,7 @@ def test_load_rejects_unknown_key(tmp_path):
 
 def test_partial_document_fills_defaults(tmp_path):
     path = tmp_path / "partial.json"
-    path.write_text(json.dumps({"epochs": 3, "feature_dim": 16}))
+    path.write_text(json.dumps({"epochs": 3, "feature_dim": 16, "num_groups": 2}))
     cfg = load_config(path)
     assert cfg.epochs == 3
     assert cfg.feature_dim == 16
@@ -128,7 +133,7 @@ def test_solver_slice():
 
 def test_training_slice():
     cfg = PipelineConfig(epochs=5, learning_rate=2e-3, lr_decay_per_epoch=0.1,
-                         weight_decay=1e-4, focal_gamma=1.5, tau_d=0.05,
+                         weight_decay=1e-4, focal_gamma=1.5,
                          loss_lambda=0.7, train_seed=3, augment=True)
     tr = train_config(cfg)
     assert tr.epochs == 5
@@ -136,7 +141,52 @@ def test_training_slice():
     assert tr.lr_decay_per_epoch == 0.1
     assert tr.weight_decay == 1e-4
     assert tr.focal_gamma == 1.5
-    assert tr.label_tau_d == 0.05
     assert tr.loss_lambda == 0.7
     assert tr.seed == 3
     assert tr.augment is True
+
+
+def test_default_document_slices_are_the_module_defaults():
+    cfg = PipelineConfig()
+    assert scnet_config(cfg) == ScNetConfig()
+    assert solver_config(cfg) == SolverConfig()
+    assert train_config(cfg) == TrainConfig()
+
+
+def test_every_document_key_lands_in_exactly_one_slice():
+    base = PipelineConfig()
+    slices = (_GraphConfig, SolverConfig, ScNetConfig, TrainConfig)
+    keys = [f.name for f in dataclasses.fields(PipelineConfig)]
+    assert len(keys) == 26
+    for key in keys:
+        value = getattr(base, key)
+        changed = PipelineConfig(**{key: (not value) if isinstance(value, bool) else 2 * value or 1})
+        moved = [cls for cls in slices if _slice(changed, cls) != _slice(base, cls)]
+        assert len(moved) == 1, key
+
+
+@pytest.mark.parametrize(
+    "make,fragment",
+    [
+        (lambda: SolverConfig(max_iterations=2.5), "max_iterations must be an integer >= 1"),
+        (lambda: TrainConfig(epochs=2.5), "epochs must be an integer >= 1"),
+        (lambda: TrainConfig(augment="yes"), "augment must be true or false"),
+        (lambda: ScNetConfig(seed=-1), "seed must be an integer >= 0"),
+        (lambda: SolverConfig(lambda_corr=float("inf")), "lambda_corr must be a finite number"),
+        (lambda: PipelineConfig(train_seed=-2), "train_seed must be an integer >= 0"),
+    ],
+)
+def test_module_configs_check_types_and_bounds(make, fragment):
+    with pytest.raises(ValidationError, match=fragment):
+        make()
+
+
+def test_zero_learning_rate_is_one_rule_everywhere():
+    assert train_config(PipelineConfig(learning_rate=0.0)) == TrainConfig(learning_rate=0.0)
+
+
+def test_load_rejects_unbuildable_network(tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"feature_dim": 16}))
+    with pytest.raises(ValidationError, match="num_groups 8"):
+        load_config(path)

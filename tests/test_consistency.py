@@ -8,7 +8,6 @@ from defreg.consistency import (
     local_consistency,
     pairwise_consistency,
     read_corr_csv,
-    theta_stats,
     write_corr_csv,
 )
 from defreg.defgraph import build_graph
@@ -122,19 +121,6 @@ def test_count_mismatch_rejected():
     corr = CorrespondenceSet(src[:3], src[:3])
     with pytest.raises(ValidationError, match="correspondences"):
         local_consistency(corr, graph, 0.08)
-
-
-def test_theta_stats_rows():
-    rng = np.random.default_rng(3)
-    src = rng.uniform(size=(25, 3)) * 0.3
-    corr = CorrespondenceSet(src, src)
-    graph = build_graph(src, 0.2, 3)
-    local = local_consistency(corr, graph, 0.08)
-    rows = theta_stats(local)
-    assert [r[0] for r in rows] == sorted(local.blocks)
-    for j, count, lo, mean, hi in rows:
-        assert count == graph.node_to_members[j].size
-        assert 0.0 <= lo <= mean <= hi <= 1.0
 
 
 def _labeled_corr(seed=4, n=9):

@@ -1,4 +1,4 @@
-"""Rotation helpers, rigid transforms, sampling, and neighbor queries."""
+"""Point clouds, rotation helpers and furthest point sampling."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,8 @@ import pytest
 from defreg.errors import ValidationError
 from defreg.geometry import (
     PointCloud,
-    RigidTransform,
     exp_so3,
     furthest_point_sample,
-    knn,
     log_so3,
     project_rotation,
     skew,
@@ -112,26 +110,6 @@ def test_point_cloud_is_immutable():
         cloud.points[0, 0] = 1.0
 
 
-def test_rigid_transform_validation():
-    with pytest.raises(ValidationError):
-        RigidTransform(np.eye(3) * 2.0)
-    with pytest.raises(ValidationError):
-        RigidTransform(np.full((3, 3), np.nan))
-    # reflection has det -1
-    with pytest.raises(ValidationError):
-        RigidTransform(np.diag([1.0, 1.0, -1.0]))
-
-
-def test_rigid_transform_apply_and_compose():
-    rng = np.random.default_rng(2)
-    a = RigidTransform(exp_so3(rng.normal(size=3)), rng.normal(size=3))
-    b = RigidTransform(exp_so3(rng.normal(size=3)), rng.normal(size=3))
-    pts = rng.normal(size=(6, 3))
-    np.testing.assert_allclose(a.compose(b).apply(pts), a.apply(b.apply(pts)), atol=1e-12)
-    ident = RigidTransform.identity()
-    np.testing.assert_array_equal(ident.apply(pts), pts)
-
-
 def test_fps_single_point():
     assert list(furthest_point_sample(PointCloud(np.zeros((1, 3))), 0.5)) == [0]
 
@@ -163,37 +141,3 @@ def test_fps_tie_breaks_to_first_occurrence():
     cloud = PointCloud(np.array([[0.0, 0, 0], [-1.0, 0, 0], [1.0, 0, 0]]))
     nodes = furthest_point_sample(cloud, 0.6, start_index=0)
     assert nodes[1] == 1
-
-
-def test_knn_matches_brute_force():
-    rng = np.random.default_rng(13)
-    pts = rng.uniform(size=(50, 3))
-    cloud = PointCloud(pts)
-    query = rng.uniform(size=3)
-    idx, dist = knn(query, cloud, 6)
-    full = np.linalg.norm(pts - query, axis=1)
-    expect = np.argsort(full, kind="stable")[:6]
-    np.testing.assert_array_equal(idx, expect)
-    np.testing.assert_allclose(dist, full[expect], atol=1e-12)
-
-
-def test_knn_full_cloud_sorted():
-    rng = np.random.default_rng(17)
-    pts = rng.uniform(size=(10, 3))
-    idx, dist = knn(np.zeros(3), PointCloud(pts), 10)
-    assert sorted(idx) == list(range(10))
-    assert (np.diff(dist) >= 0).all()
-
-
-def test_knn_tie_prefers_lower_index():
-    cloud = PointCloud(np.array([[1.0, 0, 0], [-1.0, 0, 0], [0.5, 0, 0]]))
-    idx, _ = knn(np.zeros(3), cloud, 3)
-    assert list(idx) == [2, 0, 1]
-
-
-def test_knn_rejects_bad_k():
-    cloud = PointCloud(np.zeros((3, 3)))
-    with pytest.raises(ValidationError):
-        knn(np.zeros(3), cloud, 0)
-    with pytest.raises(ValidationError):
-        knn(np.zeros(3), cloud, 4)

@@ -17,7 +17,6 @@ from defreg.nicp import (
     read_warp_field,
     residuals,
     solve,
-    warp_point,
     write_warp_field,
 )
 from defreg.synth import SceneSpec, generate_scene
@@ -49,13 +48,13 @@ def test_identity_field_is_identity_map():
 def test_single_node_translation():
     field = _single_node_field([0.2, 0.1, 0.0], translation=[1.0, 0.0, 0.0])
     p = np.array([0.3, 0.4, 0.5])
-    np.testing.assert_allclose(warp_point(p, field), p + [1.0, 0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(field.warp(p)[0], p + [1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_single_node_quarter_turn():
     v = np.array([0.2, 0.3, 0.1])
     field = _single_node_field(v, rotation=exp_so3([0.0, 0.0, np.pi / 2]))
-    got = warp_point(v + [1.0, 0.0, 0.0], field)
+    got = field.warp(v + [1.0, 0.0, 0.0])[0]
     np.testing.assert_allclose(got, v + [0.0, 1.0, 0.0], atol=1e-12)
 
 

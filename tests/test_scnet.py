@@ -23,9 +23,7 @@ from defreg.scnet.model import (
     aggregate,
     classify,
     encode_input,
-    forward,
     run_forward,
-    sca_self_attention,
 )
 from defreg.scnet.params_io import load_params, read_descriptor, save_params
 
@@ -189,7 +187,7 @@ def test_attention_matches_dense_oracle():
     theta = rng.uniform(size=(3, 3))
     theta = (theta + theta.T) / 2
     np.testing.assert_allclose(
-        sca_self_attention(feats, theta, unit), _unit_oracle(unit, feats, theta), atol=1e-10
+        unit.forward(feats, theta)[0], _unit_oracle(unit, feats, theta), atol=1e-10
     )
 
 
@@ -197,7 +195,7 @@ def test_attention_zero_theta_is_uniform():
     rng = np.random.default_rng(6)
     unit = ScaUnit(8, 0.01, rng)
     feats = rng.normal(size=(4, 8))
-    got = sca_self_attention(feats, np.zeros((4, 4)), unit)
+    got = unit.forward(feats, np.zeros((4, 4)))[0]
     np.testing.assert_allclose(got, _unit_oracle(unit, feats, np.zeros((4, 4))), atol=1e-12)
     # zero logits make every attention row uniform: each row mixes mean(v)
     v = feats @ unit.wv
@@ -209,7 +207,7 @@ def test_attention_singleton_block():
     rng = np.random.default_rng(7)
     unit = ScaUnit(8, 0.01, rng)
     feats = rng.normal(size=(1, 8))
-    out = sca_self_attention(feats, np.ones((1, 1)), unit)
+    out = unit.forward(feats, np.ones((1, 1)))[0]
     assert out.shape == (1, 8)
     np.testing.assert_allclose(out, _unit_oracle(unit, feats, np.ones((1, 1))), atol=1e-12)
 
@@ -218,7 +216,7 @@ def test_attention_rejects_theta_shape_mismatch():
     rng = np.random.default_rng(8)
     unit = ScaUnit(8, 0.01, rng)
     with pytest.raises(ValidationError):
-        sca_self_attention(rng.normal(size=(3, 8)), np.ones((2, 2)), unit)
+        unit.forward(rng.normal(size=(3, 8)), np.ones((2, 2)))
 
 
 def test_unit_backward_matches_fd():
@@ -320,7 +318,7 @@ def test_aggregate_two_node_worked_weights():
 def test_forward_scores_in_unit_interval():
     corr, graph, theta = _scene(13, 12)
     model = _micro_model()
-    scores = forward(corr, graph, theta, model)
+    scores = run_forward(model, corr, graph, theta).scores
     assert scores.shape == (12,)
     assert (scores > 0).all() and (scores < 1).all()
 
@@ -328,7 +326,7 @@ def test_forward_scores_in_unit_interval():
 def test_forward_composition_oracle():
     corr, graph, theta = _scene(14, 10)
     model = _micro_model(seed=3)
-    got = forward(corr, graph, theta, model)
+    got = run_forward(model, corr, graph, theta).scores
 
     feats = encode_input(corr)
     for lin, gn in model.init_layers:
@@ -368,14 +366,14 @@ def test_forward_zero_parameters_constant_scores():
     corr, graph, theta = _scene(15, 9)
     model = _micro_model()
     model.set_param_vector(np.zeros(model.param_vector().size))
-    scores = forward(corr, graph, theta, model)
+    scores = run_forward(model, corr, graph, theta).scores
     np.testing.assert_array_equal(scores, np.full(9, 0.5))
 
 
 def test_forward_permutation_equivariance():
     corr, graph, theta = _scene(16, 14)
     model = _micro_model(seed=1)
-    base = forward(corr, graph, theta, model)
+    base = run_forward(model, corr, graph, theta).scores
 
     rng = np.random.default_rng(4)
     perm = rng.permutation(len(corr))
@@ -383,7 +381,7 @@ def test_forward_permutation_equivariance():
     start = int(np.where(perm == 0)[0][0])
     graph_p = build_graph(corr_p.source, 0.25, 3, start_index=start)
     theta_p = local_consistency(corr_p, graph_p, 0.08)
-    got = forward(corr_p, graph_p, theta_p, model)
+    got = run_forward(model, corr_p, graph_p, theta_p).scores
     np.testing.assert_allclose(got, base[perm], atol=1e-10)
 
 
@@ -467,10 +465,10 @@ def test_params_round_trip_scores_stable(tmp_path):
     path = tmp_path / "m.params"
     save_params(path, model)
     load_params(path, model)  # quantize in place
-    before = forward(corr, graph, theta, model)
+    before = run_forward(model, corr, graph, theta).scores
     fresh = _micro_model(seed=9)
     load_params(path, fresh)
-    np.testing.assert_array_equal(forward(corr, graph, theta, fresh), before)
+    np.testing.assert_array_equal(run_forward(fresh, corr, graph, theta).scores, before)
 
 
 def test_checkpoint_round_trip(tmp_path):

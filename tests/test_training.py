@@ -292,8 +292,6 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValidationError):
         TrainConfig(lr_decay_per_epoch=1.0)
-    with pytest.raises(ValidationError):
-        TrainConfig(label_tau_d=0.0)
 
 
 def test_prepare_scene_requires_labels():
