@@ -9,7 +9,6 @@ inputs and seeds; no output embeds a timestamp.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
@@ -20,7 +19,8 @@ from defreg.config import (PipelineConfig, load_config, scnet_config, solver_con
                            train_config, with_seed)
 from defreg.consistency import local_consistency, read_corr_csv, write_corr_csv
 from defreg.defgraph import build_graph, format_graph_dump
-from defreg.errors import FileFormatError, NumericalError, ValidationError
+from defreg.errors import (FileFormatError, NumericalError, ValidationError, parse_rows,
+                           read_document, read_lines)
 from defreg.evalmetrics import (classification_metrics, format_metrics_table,
                                 metrics_from_errors, registration_errors, write_metrics_csv)
 from defreg.geometry import PointCloud
@@ -28,7 +28,7 @@ from defreg.nicp import read_warp_field, solve, write_warp_field
 from defreg.pointcloud_io import read_ply, read_xyz, write_ply
 from defreg.scnet.model import ScNetModel, classify, run_forward
 from defreg.scnet.params_io import load_params, save_params
-from defreg.synth import generate_scene, spec_from_dict, write_scene_bundle
+from defreg.synth import SceneSpec, generate_scene, write_scene_bundle
 from defreg.training import gradient_check, prepare_scene, train, write_loss_log
 
 GRADCHECK_THRESHOLD = 1e-4
@@ -117,12 +117,7 @@ def _dispatch(args) -> int:
 
 
 def _cmd_synth(args, config: PipelineConfig) -> int:
-    try:
-        with open(args.spec, "r", encoding="ascii") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"bad scene spec {args.spec}: {exc}") from exc
-    spec = spec_from_dict(data)
+    spec = read_document(SceneSpec, args.spec, "scene")
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     source, target, gt_warp, corr = generate_scene(
@@ -218,19 +213,14 @@ def _cmd_register(args, config: PipelineConfig) -> int:
 
 
 def _check_trace(path) -> int:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines or lines[0] != "iteration,cost":
         raise FileFormatError(f"{path} is not a cost trace")
-    costs = []
-    for line in lines[1:]:
-        fields = line.split(",")
-        if len(fields) != 2:
-            raise FileFormatError(f"malformed cost-trace row: {line}")
-        costs.append(float(fields[1]))
-    for i in range(1, len(costs)):
-        if costs[i] > costs[i - 1]:
-            raise ValidationError(f"cost trace increases at iteration {i}")
+    rows = ((n, line.split(",")) for n, line in enumerate(lines[1:], start=2))
+    costs = parse_rows(rows, 2, path, columns=(1,))[:, 0]
+    rises = np.flatnonzero(costs[1:] > costs[:-1])
+    if rises.size:
+        raise ValidationError(f"cost trace increases at iteration {rises[0] + 1}")
     return len(costs)
 
 

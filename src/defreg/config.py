@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, fields, make_dataclass, replace
 
-from defreg.errors import FileFormatError, ValidationError, check_fields, from_document, positive
+from defreg.errors import ValidationError, check_fields, positive, read_document
 from defreg.nicp import SolverConfig
 from defreg.scnet.model import ScNetConfig
 from defreg.training import TrainConfig
@@ -91,12 +91,7 @@ PipelineConfig = make_dataclass(
 
 
 def load_config(path) -> PipelineConfig:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"bad config file {path}: {exc}") from exc
-    return from_document(PipelineConfig, data, "config")
+    return read_document(PipelineConfig, path, "config")
 
 
 def save_config(path, config: PipelineConfig) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from defreg.defgraph import DeformationGraph
-from defreg.errors import FileFormatError, ValidationError
+from defreg.errors import FileFormatError, ValidationError, parse_rows, read_lines
 
 __all__ = [
     "CorrespondenceSet",
@@ -154,41 +154,28 @@ def write_corr_csv(path, corr: CorrespondenceSet) -> None:
 
 def read_corr_csv(path) -> CorrespondenceSet:
     """Inverse of write_corr_csv; header row is mandatory."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines:
-        raise FileFormatError("empty correspondence file")
+        raise FileFormatError(f"{path}: empty correspondence file")
     header = tuple(lines[0].split(","))
     if header[:6] != CORR_BASE_COLUMNS:
-        raise FileFormatError("correspondence header must start with " + ",".join(CORR_BASE_COLUMNS))
+        raise FileFormatError(f"{path}:1: correspondence header must start with "
+                              + ",".join(CORR_BASE_COLUMNS))
     extras = header[6:]
     has_label = "label" in extras
     has_score = "score" in extras
     expected = CORR_BASE_COLUMNS + (("label",) if has_label else ()) + (("score",) if has_score else ())
     if header != expected:
-        raise FileFormatError(f"unexpected correspondence columns: {','.join(header)}")
-    rows = [ln for ln in lines[1:] if ln.strip()]
-    if not rows:
-        raise FileFormatError("no correspondence rows")
-    coords = np.zeros((len(rows), 6))
-    labels = np.zeros(len(rows), dtype=np.int64) if has_label else None
-    scores = np.zeros(len(rows)) if has_score else None
-    for i, line in enumerate(rows):
-        fields = line.split(",")
-        if len(fields) != len(header):
-            raise FileFormatError(f"row {i + 1} has {len(fields)} fields, expected {len(header)}")
-        try:
-            coords[i] = [float(v) for v in fields[:6]]
-            pos = 6
-            if has_label:
-                labels[i] = int(fields[pos])
-                pos += 1
-            if has_score:
-                scores[i] = float(fields[pos])
-        except ValueError as exc:
-            raise FileFormatError(f"malformed value on row {i + 1}") from exc
-    if not np.isfinite(coords).all() or (has_score and not np.isfinite(scores).all()):
-        raise FileFormatError("non-finite value in correspondence file")
-    if has_label and not np.isin(labels, (0, 1)).all():
-        raise FileFormatError("labels must be 0 or 1")
+        raise FileFormatError(f"{path}:1: unexpected correspondence columns: {','.join(header)}")
+    body = [(n, line) for n, line in enumerate(lines[1:], start=2) if line.strip()]
+    if not body:
+        raise FileFormatError(f"{path}: no correspondence rows")
+    values = parse_rows(((n, line.split(",")) for n, line in body), len(header), path)
+    coords = np.ascontiguousarray(values[:, :6])
+    labels = values[:, 6] if has_label else None
+    if has_label:
+        bad = ~np.isin(labels, (0, 1))
+        if bad.any():
+            raise FileFormatError(f"{path}:{body[int(np.argmax(bad))][0]}: labels must be 0 or 1")
+    scores = np.ascontiguousarray(values[:, -1]) if has_score else None
     return CorrespondenceSet(coords[:, :3], coords[:, 3:], labels, scores)

@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from defreg.errors import ValidationError
-from defreg.geometry import PointCloud, _as_points, furthest_point_sample
+from defreg.geometry import _as_points, furthest_point_sample
 
 __all__ = [
     "DeformationGraph",
@@ -154,7 +154,7 @@ def build_graph(cloud, coverage: float, assign_k: int, start_index: int = 0) -> 
     itself and no node ends up with an empty member set. Edges connect
     two nodes whenever some point is assigned to both.
     """
-    pts = cloud.points if isinstance(cloud, PointCloud) else _as_points(cloud)
+    pts = _as_points(cloud)
     if pts.shape[0] < 1:
         raise ValidationError("empty cloud")
     if assign_k < 1:

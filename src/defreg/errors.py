@@ -1,12 +1,23 @@
-"""Exception types shared across the package, and the config field checker.
+"""Exception types shared across the package, the config field checker,
+and the helpers every defreg file reader is built on.
 
 The CLI maps these onto exit codes (validation 2, numerical 3, file I/O 4),
 so raising the right class matters more than the message text.
+
+Every text file defreg reads goes through `read_lines`, which accepts
+ASCII only; numeric rows go through `parse_rows` and JSON documents
+through `read_document`. A malformed file therefore always raises
+`FileFormatError` (exit 4), with a message that starts with the file's
+path and, where the problem sits on one line, its line number:
+`path:line: problem`.
 """
 
+import json
 import sys
 from dataclasses import field, fields
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -60,11 +71,60 @@ def check_fields(config) -> None:
                 raise ValidationError(f"{key} must be nonnegative")
 
 
-def from_document(cls, data: dict, kind: str):
-    """cls(**data) for a parsed JSON document, rejecting keys cls has no field for."""
+def read_lines(path) -> list:
+    """The lines of an ASCII text file, without their line endings."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FileFormatError(f"{path}:{line}: non-ASCII byte") from None
+
+
+def parse_rows(rows, width: int, path, columns=None) -> np.ndarray:
+    """Finite float64 array, one row per (line number, fields) pair.
+
+    Each row must hold `width` fields; `columns` picks the ones to parse
+    and keep (default: all). Values are parsed by float(), so a written
+    repr reads back bit for bit. `rows` may be a generator; it is read
+    once, one row at a time.
+    """
+    keep = range(width) if columns is None else columns
+    line_numbers = []
+
+    def values():
+        for line, f in rows:
+            line_numbers.append(line)
+            if len(f) != width:
+                raise FileFormatError(f"{path}:{line}: expected {width} fields, got {len(f)}")
+            for c in keep:
+                try:
+                    yield float(f[c])
+                except ValueError:
+                    raise FileFormatError(f"{path}:{line}: non-numeric value {f[c]!r}") from None
+
+    out = np.fromiter(values(), dtype=np.float64)
+    out = out.reshape(len(line_numbers), len(keep))
+    bad = ~np.isfinite(out).all(axis=1)
+    if bad.any():
+        raise FileFormatError(f"{path}:{line_numbers[int(np.argmax(bad))]}: non-finite value")
+    return out
+
+
+def read_document(cls, path, kind: str):
+    """cls(**document) for the JSON object in the file at path, rejecting
+    keys cls has no field for; kind names the document in errors."""
+    text = "\n".join(read_lines(path))
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(f"{path}:{exc.lineno}: bad {kind} file: {exc.msg}") from None
+    except ValueError as exc:  # an integer literal too long to convert
+        raise FileFormatError(f"{path}: bad {kind} file: {exc}") from None
     if not isinstance(data, dict):
-        raise FileFormatError(f"{kind} document must hold a JSON object")
+        raise FileFormatError(f"{path}: {kind} document must hold a JSON object")
     unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
-        raise ValidationError(f"unknown {kind} key: {unknown[0]}")
+        raise ValidationError(f"{path}: unknown {kind} key: {unknown[0]}")
     return cls(**data)

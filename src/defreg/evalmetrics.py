@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from defreg.errors import ValidationError
-from defreg.geometry import PointCloud
+from defreg.geometry import _as_points
 
 EPE_STRICT = 0.025
 EPE_RELAXED = 0.05
@@ -60,8 +60,8 @@ class MetricsReport:
 
 def registration_errors(source, est, gt):
     """Per-point (error, ground-truth motion) magnitudes."""
-    pts = source.points if isinstance(source, PointCloud) else np.asarray(source, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
+    pts = _as_points(source)
+    if pts.shape[0] < 1:
         raise ValidationError("source must contain at least one 3D point")
     warped_est = est.warp(pts)
     warped_gt = gt.warp(pts)

@@ -25,6 +25,9 @@ __all__ = [
 
 
 def _as_points(points) -> np.ndarray:
+    """The (N, 3) finite float64 coordinates of a PointCloud or an array."""
+    if isinstance(points, PointCloud):
+        return points.points
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1 and pts.size == 3:
         pts = pts[None, :]
@@ -159,7 +162,7 @@ def furthest_point_sample(cloud, coverage: float, start_index: int = 0) -> np.nd
 
     Returns the selected indices in selection order as an int64 array.
     """
-    pts = cloud.points if isinstance(cloud, PointCloud) else _as_points(cloud)
+    pts = _as_points(cloud)
     n = pts.shape[0]
     if coverage <= 0:
         raise ValidationError("coverage must be positive")

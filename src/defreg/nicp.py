@@ -27,8 +27,9 @@ import numpy as np
 
 from defreg.consistency import CorrespondenceSet
 from defreg.defgraph import DeformationGraph, assign_points, build_graph
-from defreg.errors import FileFormatError, NumericalError, ValidationError, check_fields, positive
-from defreg.geometry import PointCloud, exp_so3, log_so3, project_rotation, skew
+from defreg.errors import (FileFormatError, NumericalError, ValidationError, check_fields,
+                           parse_rows, positive, read_lines)
+from defreg.geometry import PointCloud, _as_points, exp_so3, log_so3, project_rotation, skew
 
 __all__ = [
     "WarpField",
@@ -41,17 +42,6 @@ __all__ = [
     "write_warp_field",
     "read_warp_field",
 ]
-
-
-def _points_array(points) -> np.ndarray:
-    if isinstance(points, PointCloud):
-        return points.points
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValidationError("expected points of shape (n, 3)")
-    return pts
 
 
 @dataclass(frozen=True)
@@ -83,7 +73,7 @@ class WarpField:
 
     def warp(self, points) -> np.ndarray:
         """Evaluate the blended warp at arbitrary points."""
-        pts = _points_array(points)
+        pts = _as_points(points)
         graph = self.graph
         order, weights = assign_points(pts, graph.nodes, graph.assign_k, graph.coverage)
         return _blend(self, pts, order, weights)
@@ -358,38 +348,22 @@ def write_warp_field(path, field: WarpField) -> None:
 def read_warp_field(path) -> WarpField:
     """Inverse of write_warp_field; the returned field carries a node-only
     graph (no correspondence assignments, no edges)."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise FileFormatError("empty warp-field file")
-    head = lines[0].split()
+    rows = ((n, line.split()) for n, line in enumerate(read_lines(path), start=1) if line.strip())
+    line, head = next(rows, (0, None))
+    if head is None:
+        raise FileFormatError(f"{path}: empty warp-field file")
     if len(head) != 7 or head[0] != "warp-field" or head[1] != "nodes" \
-            or head[3] != "coverage" or head[5] != "assign_k":
-        raise FileFormatError("bad warp-field header")
-    try:
-        count = int(head[2])
-        coverage = float(head[4])
-        assign_k = int(head[6])
-    except ValueError as exc:
-        raise FileFormatError("bad warp-field header") from exc
-    if len(lines) - 1 != count:
-        raise FileFormatError(f"expected {count} node lines, found {len(lines) - 1}")
-    nodes = np.zeros((count, 3))
-    rotations = np.zeros((count, 3, 3))
-    translations = np.zeros((count, 3))
-    for j, line in enumerate(lines[1:]):
-        fields = line.split()
-        if len(fields) != 9:
-            raise FileFormatError(f"node line {j} has {len(fields)} fields, expected 9")
-        try:
-            values = np.array([float(x) for x in fields])
-        except ValueError as exc:
-            raise FileFormatError(f"non-numeric value on node line {j}") from exc
-        if not np.isfinite(values).all():
-            raise FileFormatError(f"non-finite value on node line {j}")
-        nodes[j] = values[:3]
-        rotations[j] = exp_so3(values[3:6])
-        translations[j] = values[6:9]
+            or head[3] != "coverage" or head[5] != "assign_k" \
+            or not head[2].isdigit() or not head[6].isdigit():
+        raise FileFormatError(f"{path}:{line}: bad warp-field header")
+    count, assign_k = int(head[2]), int(head[6])
+    coverage = float(parse_rows([(line, head[4:5])], 1, path)[0, 0])
+    if count < 1 or assign_k < 1 or coverage <= 0:
+        raise FileFormatError(f"{path}:{line}: node count, coverage and assign_k must be positive")
+    values = parse_rows(rows, 9, path)
+    if len(values) != count:
+        raise FileFormatError(f"{path}: expected {count} node lines, found {len(values)}")
+    nodes, omegas, translations = (np.ascontiguousarray(values[:, i:i + 3]) for i in (0, 3, 6))
     graph = DeformationGraph(
         nodes=nodes,
         coverage=coverage,
@@ -400,4 +374,4 @@ def read_warp_field(path) -> WarpField:
         edges=np.zeros((0, 2), dtype=np.int64),
         node_indices=np.arange(count, dtype=np.int64),
     )
-    return WarpField(graph, rotations, translations)
+    return WarpField(graph, exp_so3(omegas), translations)

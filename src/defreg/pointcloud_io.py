@@ -1,9 +1,10 @@
 """ASCII point-cloud file I/O: PLY (element vertex, float x/y/z), and an XYZ text reader.
 
-Readers are strict about finiteness (NaN/Inf coordinates are rejected) and
-about the subset of PLY they claim to support: ASCII format, a single
-vertex element whose properties include x, y, z. Extra scalar properties
-are skipped by column; other elements are refused rather than guessed at.
+Readers accept ASCII text only and are strict about finiteness (NaN/Inf
+coordinates are rejected) and about the subset of PLY they claim to
+support: ASCII format, a single vertex element whose properties include
+x, y, z. Extra scalar properties are skipped by column; other elements
+are refused rather than guessed at.
 
 The PLY writer formats floats with repr (shortest round-trip), so written
 files are byte-stable across runs for identical inputs.
@@ -11,67 +12,56 @@ files are byte-stable across runs for identical inputs.
 
 from __future__ import annotations
 
-import numpy as np
-
-from defreg.errors import FileFormatError
+from defreg.errors import FileFormatError, parse_rows, read_lines
 from defreg.geometry import PointCloud
 
 _PLY_FLOAT_TYPES = {"float", "float32", "double", "float64"}
 
 
-def _finite_or_raise(arr: np.ndarray, path) -> np.ndarray:
-    if not np.isfinite(arr).all():
-        raise FileFormatError(f"{path}: non-finite coordinate")
-    return arr
-
-
 def read_ply(path) -> PointCloud:
     """Read an ASCII PLY vertex cloud."""
-    with open(path, "r", encoding="ascii") as fh:
-        line = fh.readline().strip()
-        if line != "ply":
-            raise FileFormatError(f"{path}: missing 'ply' magic")
-        fmt = fh.readline().split()
-        if fmt[:2] != ["format", "ascii"]:
-            raise FileFormatError(f"{path}: only ASCII PLY is supported")
-        count = None
-        props = []
-        in_vertex = False
-        while True:
-            line = fh.readline()
-            if not line:
-                raise FileFormatError(f"{path}: truncated header")
-            tokens = line.split()
-            if not tokens or tokens[0] == "comment":
-                continue
-            if tokens[0] == "element":
-                if tokens[1] == "vertex":
-                    count = int(tokens[2])
-                    in_vertex = True
-                else:
-                    raise FileFormatError(f"{path}: unsupported element '{tokens[1]}'")
-            elif tokens[0] == "property":
-                if in_vertex:
-                    if tokens[1] not in _PLY_FLOAT_TYPES:
-                        raise FileFormatError(f"{path}: non-float vertex property '{tokens[-1]}'")
-                    props.append(tokens[2])
-            elif tokens[0] == "end_header":
-                break
-            else:
-                raise FileFormatError(f"{path}: unexpected header line {tokens[0]!r}")
-        if count is None:
-            raise FileFormatError(f"{path}: no vertex element")
-        try:
-            cols = [props.index(axis) for axis in ("x", "y", "z")]
-        except ValueError:
-            raise FileFormatError(f"{path}: vertex element lacks x/y/z properties") from None
-        rows = np.empty((count, 3), dtype=np.float64)
-        for i in range(count):
-            tokens = fh.readline().split()
-            if len(tokens) != len(props):
-                raise FileFormatError(f"{path}: vertex row {i} has {len(tokens)} fields, expected {len(props)}")
-            rows[i] = [float(tokens[c]) for c in cols]
-    return PointCloud(_finite_or_raise(rows, path))
+    lines = read_lines(path)
+    if not lines or lines[0].strip() != "ply":
+        raise FileFormatError(f"{path}: missing 'ply' magic")
+    if len(lines) < 2 or lines[1].split()[:2] != ["format", "ascii"]:
+        raise FileFormatError(f"{path}: only ASCII PLY is supported")
+    count = None
+    props = []
+    for n, line in enumerate(lines[2:], start=3):
+        tokens = line.split()
+        if not tokens or tokens[0] == "comment":
+            continue
+        if tokens[0] == "element":
+            if len(tokens) != 3:
+                raise FileFormatError(f"{path}:{n}: element line needs a name and a count")
+            if tokens[1] != "vertex":
+                raise FileFormatError(f"{path}:{n}: unsupported element '{tokens[1]}'")
+            if not tokens[2].isdigit():
+                raise FileFormatError(f"{path}:{n}: bad vertex count {tokens[2]!r}")
+            count = int(tokens[2])
+        elif tokens[0] == "property":
+            if count is not None:
+                if len(tokens) != 3 or tokens[1] not in _PLY_FLOAT_TYPES:
+                    raise FileFormatError(f"{path}:{n}: non-float or malformed vertex property "
+                                          f"{line.strip()!r}")
+                props.append(tokens[2])
+        elif tokens[0] == "end_header":
+            break
+        else:
+            raise FileFormatError(f"{path}:{n}: unexpected header line {tokens[0]!r}")
+    else:
+        raise FileFormatError(f"{path}: truncated header")
+    if count is None:
+        raise FileFormatError(f"{path}: no vertex element")
+    try:
+        cols = [props.index(axis) for axis in ("x", "y", "z")]
+    except ValueError:
+        raise FileFormatError(f"{path}: vertex element lacks x/y/z properties") from None
+    body = lines[n:n + count]
+    if len(body) < count:
+        raise FileFormatError(f"{path}: truncated: {count} vertices declared, {len(body)} present")
+    rows = ((i, line.split()) for i, line in enumerate(body, start=n + 1))
+    return PointCloud(parse_rows(rows, len(props), path, cols))
 
 
 def write_ply(path, cloud: PointCloud) -> None:
@@ -92,19 +82,9 @@ def write_ply(path, cloud: PointCloud) -> None:
 
 def read_xyz(path) -> PointCloud:
     """Read whitespace-separated XYZ text; '#' comments and blank lines skipped."""
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            tokens = stripped.split()
-            if len(tokens) != 3:
-                raise FileFormatError(f"{path}:{lineno}: expected 3 fields, got {len(tokens)}")
-            try:
-                rows.append([float(t) for t in tokens])
-            except ValueError:
-                raise FileFormatError(f"{path}:{lineno}: bad float") from None
-    if not rows:
+    rows = ((n, line.split()) for n, line in enumerate(read_lines(path), start=1)
+            if line.strip() and not line.lstrip().startswith("#"))
+    points = parse_rows(rows, 3, path)
+    if len(points) == 0:
         raise FileFormatError(f"{path}: no points")
-    return PointCloud(_finite_or_raise(np.asarray(rows, dtype=np.float64), path))
+    return PointCloud(points)

@@ -7,7 +7,7 @@ from defreg.scnet.model import (
     run_forward,
     backward_through,
 )
-from defreg.scnet.params_io import load_params, read_descriptor, save_params
+from defreg.scnet.params_io import load_params, save_params
 
 __all__ = [
     "ScNetConfig",
@@ -18,6 +18,5 @@ __all__ = [
     "run_forward",
     "backward_through",
     "load_params",
-    "read_descriptor",
     "save_params",
 ]

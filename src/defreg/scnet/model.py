@@ -25,6 +25,7 @@ collects them into a tape that backward_through replays in reverse.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -69,10 +70,14 @@ class ScNetConfig:
 
     def __post_init__(self):
         check_fields(self)
-        object.__setattr__(self, "init_widths", tuple(int(w) for w in self.init_widths))
-        object.__setattr__(self, "head_widths", tuple(int(w) for w in self.head_widths))
         if self.feature_dim < 2 * self.num_groups:
             raise ValidationError("feature_dim must be at least 2 * num_groups")
+        for key in ("init_widths", "head_widths"):
+            widths = getattr(self, key)
+            if not isinstance(widths, (tuple, list)) or not widths or any(
+                    isinstance(w, bool) or not isinstance(w, Integral) or w < 1 for w in widths):
+                raise ValidationError(f"{key} must be a non-empty list of integers >= 1")
+            object.__setattr__(self, key, tuple(int(w) for w in widths))
         if self.init_widths[-1] != self.feature_dim:
             raise ValidationError("init widths must end at feature_dim")
         if self.head_widths[-1] != 1:

@@ -15,7 +15,9 @@ Layout:
 
 The descriptor pins the architecture (widths, block counts, group count,
 activation slope), not the init seed: a file may be loaded into any model
-instance compiled with the same architecture. Mismatches are rejected.
+instance compiled with the same architecture. Any other descriptor is
+rejected: it must equal, byte for byte, the one save_params writes for
+the model.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ MAGIC = b"DEFREGNN"
 OPT_TAG = b"ADAMSTAT"
 FORMAT_VERSION = 1
 
-__all__ = ["save_params", "load_params", "read_descriptor"]
+__all__ = ["save_params", "load_params"]
 
 
 def _descriptor_bytes(model: ScNetModel) -> bytes:
@@ -55,68 +57,48 @@ def save_params(path, model: ScNetModel, optimizer_state: dict | None = None) ->
                     fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def read_descriptor(path) -> dict:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != MAGIC:
-            raise FileFormatError(f"{path}: not a parameter file")
-        version, desc_len = struct.unpack("<II", fh.read(8))
-        if version != FORMAT_VERSION:
-            raise FileFormatError(f"{path}: unsupported format version {version}")
-        try:
-            return json.loads(fh.read(desc_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FileFormatError(f"{path}: bad descriptor: {exc}") from None
-
-
 def load_params(path, model: ScNetModel) -> dict | None:
     """Fill the model's parameters from a file; returns optimizer state if
     the file carries a checkpoint section, else None. The file descriptor
     must match the model's compiled architecture exactly."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:8] != MAGIC:
+    params = model.params()
+    offset = 0
+
+    def take(nbytes: int, what: str) -> bytes:
+        nonlocal offset
+        if len(data) - offset < nbytes:
+            raise FileFormatError(f"{path}: truncated at {what}")
+        offset += nbytes
+        return data[offset - nbytes:offset]
+
+    def tensors(what: str) -> list:
+        out = [np.frombuffer(take(value.size * 4, f"{what} {name}"), dtype="<f4").reshape(value.shape)
+               for name, value, _ in params]
+        if not all(np.isfinite(arr).all() for arr in out):
+            raise FileFormatError(f"{path}: non-finite value in {what}")
+        return out
+
+    if take(8, "magic") != MAGIC:
         raise FileFormatError(f"{path}: not a parameter file")
-    version, desc_len = struct.unpack("<II", data[8:16])
+    version, desc_len = struct.unpack("<II", take(8, "header"))
     if version != FORMAT_VERSION:
         raise FileFormatError(f"{path}: unsupported format version {version}")
-    offset = 16
-    try:
-        descriptor = json.loads(data[offset:offset + desc_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"{path}: bad descriptor: {exc}") from None
-    offset += desc_len
-    expected = model.config.architecture()
+    descriptor, expected = take(desc_len, "descriptor"), _descriptor_bytes(model)
     if descriptor != expected:
-        raise ValidationError(
-            f"{path}: architecture descriptor mismatch: file {descriptor}, model {expected}"
-        )
-
-    params = model.params()
-    for name, value, _ in params:
-        nbytes = value.size * 4
-        if offset + nbytes > len(data):
-            raise FileFormatError(f"{path}: truncated at parameter {name}")
-        value[...] = np.frombuffer(data, dtype="<f4", count=value.size, offset=offset).reshape(value.shape)
-        offset += nbytes
-
+        raise ValidationError(f"{path}: architecture descriptor mismatch: file "
+                              f"{descriptor.decode('utf-8', 'replace')}, model {expected.decode()}")
+    for (_, value, _), loaded in zip(params, tensors("parameter")):
+        value[...] = loaded
     if offset == len(data):
         return None
-    tag = data[offset:offset + 8]
-    if tag != OPT_TAG:
+    if take(8, "checkpoint tag") != OPT_TAG:
         raise FileFormatError(f"{path}: trailing bytes are not a checkpoint section")
-    offset += 8
-    _, step = struct.unpack("<IQ", data[offset:offset + 12])
-    offset += 12
-    state = {"step": step, "m": [], "v": []}
+    _, step = struct.unpack("<IQ", take(12, "checkpoint header"))
+    state = {"step": step}
     for key in ("m", "v"):
-        for name, value, _ in params:
-            nbytes = value.size * 4
-            if offset + nbytes > len(data):
-                raise FileFormatError(f"{path}: truncated optimizer state at {name}")
-            arr = np.frombuffer(data, dtype="<f4", count=value.size, offset=offset).reshape(value.shape)
-            state[key].append(arr.astype(np.float64))
-            offset += nbytes
+        state[key] = [arr.astype(np.float64) for arr in tensors(f"optimizer state {key}")]
     if offset != len(data):
         raise FileFormatError(f"{path}: {len(data) - offset} unexpected trailing bytes")
     return state

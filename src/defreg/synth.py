@@ -19,13 +19,12 @@ from numbers import Real
 
 import numpy as np
 
-from defreg.consistency import CorrespondenceSet, read_corr_csv, write_corr_csv
+from defreg.consistency import CorrespondenceSet, write_corr_csv
 from defreg.defgraph import build_graph
-from defreg.errors import (FileFormatError, ValidationError, check_fields, from_document,
-                           nonnegative)
+from defreg.errors import ValidationError, check_fields, nonnegative
 from defreg.geometry import PointCloud, exp_so3
-from defreg.nicp import WarpField, read_warp_field, write_warp_field
-from defreg.pointcloud_io import read_ply, write_ply
+from defreg.nicp import WarpField, write_warp_field
+from defreg.pointcloud_io import write_ply
 
 SURFACES = ("plane-grid", "cylinder", "two-lobe")
 WARP_KINDS = ("global-rigid", "smooth-graph", "articulated-two-part")
@@ -40,12 +39,9 @@ _MAX_RESAMPLE = 1000
 
 __all__ = [
     "SceneSpec",
-    "SceneBundle",
     "OUTLIER_MIN_RESIDUAL",
     "generate_scene",
     "write_scene_bundle",
-    "read_scene_bundle",
-    "spec_from_dict",
 ]
 
 
@@ -94,10 +90,6 @@ class SceneSpec:
             "outlier_mode": self.outlier_mode,
             "seed": self.seed,
         }
-
-
-def spec_from_dict(data: dict) -> SceneSpec:
-    return from_document(SceneSpec, data, "scene")
 
 
 def _plane_grid(count: int) -> np.ndarray:
@@ -260,15 +252,6 @@ def _sample_outlier(rng, mode, target_pts, true_match, lo, hi):
     )
 
 
-@dataclass(frozen=True)
-class SceneBundle:
-    spec: SceneSpec
-    source: PointCloud
-    target: PointCloud
-    gt_warp: WarpField
-    corr: CorrespondenceSet
-
-
 def write_scene_bundle(out_dir, spec: SceneSpec, source: PointCloud, target: PointCloud,
                        gt_warp: WarpField, corr: CorrespondenceSet) -> None:
     os.makedirs(out_dir, exist_ok=True)
@@ -279,19 +262,3 @@ def write_scene_bundle(out_dir, spec: SceneSpec, source: PointCloud, target: Poi
     with open(os.path.join(out_dir, "spec.json"), "w", encoding="ascii") as fh:
         json.dump(spec.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_scene_bundle(scene_dir) -> SceneBundle:
-    spec_path = os.path.join(scene_dir, "spec.json")
-    try:
-        with open(spec_path, "r", encoding="ascii") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"bad scene spec {spec_path}: {exc}") from exc
-    return SceneBundle(
-        spec=spec_from_dict(data),
-        source=read_ply(os.path.join(scene_dir, "source.ply")),
-        target=read_ply(os.path.join(scene_dir, "target.ply")),
-        gt_warp=read_warp_field(os.path.join(scene_dir, "warp.txt")),
-        corr=read_corr_csv(os.path.join(scene_dir, "corr.csv")),
-    )

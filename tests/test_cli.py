@@ -71,11 +71,18 @@ def test_synth_rejects_bad_ratio(tmp_path, capsys):
     assert "inlier_ratio" in capsys.readouterr().err
 
 
-def test_synth_rejects_malformed_spec(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        ("{oops", "bad scene file"),
+        ("{\"seed\": 0\xe9}", "broken.json:1: non-ASCII byte"),
+    ],
+)
+def test_synth_rejects_malformed_spec(tmp_path, capsys, text, fragment):
     path = tmp_path / "broken.json"
-    path.write_text("{oops")
+    path.write_bytes(text.encode("latin-1"))
     assert main(["synth", str(path), "--out", str(tmp_path / "x")]) == 4
-    assert "bad scene spec" in capsys.readouterr().err
+    assert fragment in capsys.readouterr().err
 
 
 def test_missing_input_file_is_io_error(tmp_path, capsys):
@@ -176,12 +183,22 @@ def test_eval_rejects_increasing_trace(tmp_path, mini_dataset, capsys):
     assert "cost trace increases" in capsys.readouterr().err
 
 
-def test_eval_rejects_foreign_trace_file(tmp_path, mini_dataset, capsys):
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        ("something,else\n", "is not a cost trace"),
+        ("iteration,cost\n0,1.0\n1,abc\n", "trace.csv:3: non-numeric value 'abc'"),
+        ("iteration,cost\n0,1.0\n1,nan\n", "trace.csv:3: non-finite value"),
+        ("iteration,cost\n0,1.0\xe9\n", "trace.csv:2: non-ASCII byte"),
+    ],
+)
+def test_eval_rejects_foreign_trace_file(tmp_path, mini_dataset, capsys, text, fragment):
     scene = mini_dataset / "scene0"
-    trace = tmp_path / "not-a-trace.csv"
-    trace.write_text("something,else\n")
+    trace = tmp_path / "trace.csv"
+    trace.write_bytes(text.encode("latin-1"))
     assert main(["eval", "--pair", str(scene / "warp.txt"), str(scene / "warp.txt"),
                  str(scene / "source.ply"), "--trace", str(trace)]) == 4
+    assert fragment in capsys.readouterr().err
 
 
 def test_prune_rejects_mismatched_model(tmp_path, mini_dataset, config_path, capsys):

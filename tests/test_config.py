@@ -70,10 +70,18 @@ def test_save_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_load_rejects_malformed_json(tmp_path):
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        ("{\"epochs\": 3,", "bad config file"),
+        ("{\n\"epochs\": 3\xe9}", "broken.json:2: non-ASCII byte"),
+        ("{\"epochs\": " + "1" * 5000 + "}", "bad config file"),
+    ],
+)
+def test_load_rejects_malformed_json(tmp_path, text, fragment):
     path = tmp_path / "broken.json"
-    path.write_text("{\"epochs\": 3,")
-    with pytest.raises(FileFormatError, match="bad config file"):
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(FileFormatError, match=fragment):
         load_config(path)
 
 
@@ -174,6 +182,9 @@ def test_every_document_key_lands_in_exactly_one_slice():
         (lambda: ScNetConfig(seed=-1), "seed must be an integer >= 0"),
         (lambda: SolverConfig(lambda_corr=float("inf")), "lambda_corr must be a finite number"),
         (lambda: PipelineConfig(train_seed=-2), "train_seed must be an integer >= 0"),
+        (lambda: ScNetConfig(init_widths=()), "init_widths must be a non-empty list"),
+        (lambda: ScNetConfig(init_widths=("a",)), "init_widths must be a non-empty list"),
+        (lambda: ScNetConfig(head_widths=(64, 0, 1)), "head_widths must be a non-empty list"),
     ],
 )
 def test_module_configs_check_types_and_bounds(make, fragment):

@@ -168,15 +168,16 @@ _HEADER = "src_x,src_y,src_z,tgt_x,tgt_y,tgt_z"
     [
         ("bogus,header\n1,2\n", "header"),
         (_HEADER + "\n", "no correspondence rows"),
-        (_HEADER + "\n1,2,3,4,5\n", "row 1 has 5 fields"),
-        (_HEADER + "\n1,2,3,4,5,spam\n", "malformed value on row 1"),
+        (_HEADER + "\n1,2,3,4,5\n", "bad.csv:2: expected 6 fields, got 5"),
+        (_HEADER + "\n1,2,3,4,5,spam\n", "bad.csv:2: non-numeric value 'spam'"),
         (_HEADER + "\n1,2,3,4,5,inf\n", "finite"),
         (_HEADER + ",label\n1,2,3,4,5,6,7\n", "label"),
         (_HEADER + ",bogus\n1,2,3,4,5,6,7\n", "unexpected correspondence columns"),
+        (_HEADER + "\n1,2,3,4,5,6\n1,2,3,4,5,6\xe9\n", "bad.csv:3: non-ASCII byte"),
     ],
 )
 def test_corr_csv_rejects_malformed(tmp_path, text, fragment):
     path = tmp_path / "bad.csv"
-    path.write_text(text)
+    path.write_bytes(text.encode("latin-1"))
     with pytest.raises(FileFormatError, match=fragment):
         read_corr_csv(path)

@@ -464,10 +464,14 @@ def test_warp_field_rewrite_byte_identical(tmp_path):
         ("warp-field nodes 1 coverage 0.08 assign_k 6\n0 0 0 0 0\n", "fields"),
         ("warp-field nodes 1 coverage 0.08 assign_k 6\n0 0 0 0 0 0 0 0 spam\n", "non-numeric"),
         ("warp-field nodes 1 coverage 0.08 assign_k 6\n0 0 0 0 0 0 0 0 inf\n", "non-finite"),
+        ("warp-field nodes 1 coverage nan assign_k 6\n0 0 0 0 0 0 0 0 0\n", "bad.txt:1: non-finite"),
+        ("warp-field nodes 1 coverage 0 assign_k 6\n0 0 0 0 0 0 0 0 0\n", "bad.txt:1: node count"),
+        ("warp-field nodes 0 coverage 0.08 assign_k 6\n", "bad.txt:1: node count"),
+        ("warp-field nodes 1 coverage 0.08 assign_k 6\n0 0 0 0 \xe9 0 0 0 0\n", "bad.txt:2: non-ASCII"),
     ],
 )
 def test_warp_field_rejects_malformed(tmp_path, text, fragment):
     path = tmp_path / "bad.txt"
-    path.write_text(text)
+    path.write_bytes(text.encode("latin-1"))
     with pytest.raises(FileFormatError, match=fragment):
         read_warp_field(path)

@@ -68,11 +68,28 @@ def test_ply_extra_scalar_property_is_skipped(tmp_path):
             "property uchar x\nproperty float y\nproperty float z\nend_header\n1 2 3\n",
             "non-float",
         ),
+        (
+            "ply\nformat ascii 1.0\nelement vertex 1\n"
+            "property float x\nproperty float y\nproperty float z\nend_header\n1 2 spam\n",
+            "bad.ply:8: non-numeric value 'spam'",
+        ),
+        (
+            "ply\nformat ascii 1.0\nelement vertex 1\n"
+            "property float x\nproperty float y\nproperty float z\nend_header\n1 2 3\xe9\n",
+            "bad.ply:8: non-ASCII byte",
+        ),
+        ("ply\nformat ascii 1.0\nelement vertex many\nend_header\n", "bad.ply:3: bad vertex count"),
+        ("ply\nformat ascii 1.0\nelement\nend_header\n", "bad.ply:3: element line"),
+        (
+            "ply\nformat ascii 1.0\nelement vertex 2\n"
+            "property float x\nproperty float y\nproperty float z\nend_header\n1 2 3\n",
+            "2 vertices declared, 1 present",
+        ),
     ],
 )
 def test_ply_rejects_malformed(tmp_path, text, fragment):
     path = tmp_path / "bad.ply"
-    path.write_text(text)
+    path.write_bytes(text.encode("latin-1"))
     with pytest.raises(FileFormatError, match=fragment):
         read_ply(path)
 
@@ -94,13 +111,14 @@ def test_xyz_skips_comments_and_blanks(tmp_path):
     "text,fragment",
     [
         ("1 2\n", "expected 3 fields"),
-        ("1 2 spam\n", "bad float"),
+        ("1 2 spam\n", "bad.xyz:1: non-numeric value 'spam'"),
         ("# only a comment\n", "no points"),
         ("inf 0 0\n", "non-finite"),
+        ("0 0 0\n1 2 \xe93\n", "bad.xyz:2: non-ASCII byte"),
     ],
 )
 def test_xyz_rejects_malformed(tmp_path, text, fragment):
     path = tmp_path / "bad.xyz"
-    path.write_text(text)
+    path.write_bytes(text.encode("latin-1"))
     with pytest.raises(FileFormatError, match=fragment):
         read_xyz(path)

@@ -25,7 +25,7 @@ from defreg.scnet.model import (
     encode_input,
     run_forward,
 )
-from defreg.scnet.params_io import load_params, read_descriptor, save_params
+from defreg.scnet.params_io import load_params, save_params
 
 MICRO = dict(feature_dim=8, init_widths=(8, 8, 8), head_widths=(8, 4, 1),
              num_blocks=1, units_per_block=1, num_groups=2)
@@ -495,22 +495,39 @@ def test_descriptor_mismatch_raises_validation(tmp_path):
         load_params(path, other)
 
 
-def test_read_descriptor(tmp_path):
+def test_descriptor_pins_architecture_not_seed(tmp_path):
     model = _micro_model()
     path = tmp_path / "m.params"
     save_params(path, model)
-    desc = read_descriptor(path)
-    assert desc == model.config.architecture()
-    assert "seed" not in desc
+    other = _micro_model(seed=9)
+    assert load_params(path, other) is None
+    for (_, a, _), (_, b, _) in zip(model.params(), other.params()):
+        np.testing.assert_array_equal(a.astype(np.float32).astype(np.float64), b)
 
 
-def test_truncated_params_file(tmp_path):
+@pytest.mark.parametrize(
+    "cut,fragment",
+    [
+        (lambda data: data[: len(data) - 40], "truncated at parameter"),
+        (lambda data: data[:10], "truncated at header"),
+        (lambda data: data + b"ADAMSTAT" + b"\x01\x00", "truncated at checkpoint header"),
+    ],
+)
+def test_truncated_params_file(tmp_path, cut, fragment):
     model = _micro_model()
     path = tmp_path / "m.params"
     save_params(path, model)
-    data = path.read_bytes()
-    path.write_bytes(data[: len(data) - 40])
-    with pytest.raises(FileFormatError, match="truncated"):
+    path.write_bytes(cut(path.read_bytes()))
+    with pytest.raises(FileFormatError, match=fragment):
+        load_params(path, _micro_model())
+
+
+def test_non_finite_parameter_rejected(tmp_path):
+    model = _micro_model()
+    path = tmp_path / "m.params"
+    save_params(path, model)
+    path.write_bytes(path.read_bytes()[:-4] + np.float32(np.nan).tobytes())
+    with pytest.raises(FileFormatError, match="non-finite value in parameter"):
         load_params(path, _micro_model())
 
 

@@ -1,19 +1,16 @@
 """Synthetic scene generation: surfaces, warps, corruption, bundles."""
 
+import json
+
 import numpy as np
 import pytest
 
-from defreg.consistency import pairwise_consistency
-from defreg.errors import FileFormatError, ValidationError
+from defreg.consistency import pairwise_consistency, read_corr_csv
+from defreg.errors import FileFormatError, ValidationError, read_document
 from defreg.geometry import log_so3
-from defreg.synth import (
-    OUTLIER_MIN_RESIDUAL,
-    SceneSpec,
-    generate_scene,
-    read_scene_bundle,
-    spec_from_dict,
-    write_scene_bundle,
-)
+from defreg.nicp import read_warp_field
+from defreg.pointcloud_io import read_ply
+from defreg.synth import OUTLIER_MIN_RESIDUAL, SceneSpec, generate_scene, write_scene_bundle
 from defreg.training import label_correspondences
 
 
@@ -179,16 +176,20 @@ def test_scalar_magnitude_expands_to_pair():
     assert spec.warp_magnitude == (0.1, 0.1)
 
 
-def test_spec_dict_round_trip():
+def test_spec_dict_round_trip(tmp_path):
     spec = _spec(seed=12, warp_magnitude=(0.15, 0.02))
-    assert spec_from_dict(spec.to_dict()) == spec
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec.to_dict()))
+    assert read_document(SceneSpec, path, "scene") == spec
 
 
-def test_spec_rejects_unknown_key():
+def test_spec_rejects_unknown_key(tmp_path):
     data = _spec().to_dict()
     data["wobble"] = 3
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
     with pytest.raises(ValidationError, match="unknown scene key"):
-        spec_from_dict(data)
+        read_document(SceneSpec, path, "scene")
 
 
 # ---------------------------------------------------------------- bundles
@@ -200,16 +201,17 @@ def test_scene_bundle_round_trip(tmp_path):
     write_scene_bundle(out, spec, src, target, gt, corr)
     for name in ("source.ply", "target.ply", "corr.csv", "warp.txt", "spec.json"):
         assert (out / name).is_file()
-    bundle = read_scene_bundle(out)
-    assert bundle.spec == spec
-    np.testing.assert_array_equal(bundle.source.points, src.points)
-    np.testing.assert_array_equal(bundle.target.points, target.points)
-    np.testing.assert_array_equal(bundle.corr.source, corr.source)
-    np.testing.assert_array_equal(bundle.corr.target, corr.target)
-    np.testing.assert_array_equal(bundle.corr.labels, corr.labels)
-    np.testing.assert_array_equal(bundle.gt_warp.graph.nodes, gt.graph.nodes)
-    np.testing.assert_allclose(bundle.gt_warp.rotations, gt.rotations, atol=1e-12)
-    np.testing.assert_array_equal(bundle.gt_warp.translations, gt.translations)
+    assert read_document(SceneSpec, out / "spec.json", "scene") == spec
+    np.testing.assert_array_equal(read_ply(out / "source.ply").points, src.points)
+    np.testing.assert_array_equal(read_ply(out / "target.ply").points, target.points)
+    back = read_corr_csv(out / "corr.csv")
+    np.testing.assert_array_equal(back.source, corr.source)
+    np.testing.assert_array_equal(back.target, corr.target)
+    np.testing.assert_array_equal(back.labels, corr.labels)
+    warp = read_warp_field(out / "warp.txt")
+    np.testing.assert_array_equal(warp.graph.nodes, gt.graph.nodes)
+    np.testing.assert_allclose(warp.rotations, gt.rotations, atol=1e-12)
+    np.testing.assert_array_equal(warp.translations, gt.translations)
 
 
 def test_scene_bundle_rejects_bad_spec_json(tmp_path):
@@ -218,5 +220,5 @@ def test_scene_bundle_rejects_bad_spec_json(tmp_path):
     out = tmp_path / "scene"
     write_scene_bundle(out, spec, src, target, gt, corr)
     (out / "spec.json").write_text("{not json")
-    with pytest.raises(FileFormatError, match="bad scene spec"):
-        read_scene_bundle(out)
+    with pytest.raises(FileFormatError, match="bad scene file"):
+        read_document(SceneSpec, out / "spec.json", "scene")
