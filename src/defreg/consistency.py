@@ -104,9 +104,19 @@ def pairwise_consistency(c_i, c_j, sigma_d: float) -> float:
     return float(np.maximum(0.0, val))
 
 
+def _pairwise_distances(p: np.ndarray) -> np.ndarray:
+    # per coordinate, summed x, y, z in order: the bits of summing the
+    # squares over the last axis, without the (M, M, 3) temporaries
+    acc = np.zeros((p.shape[0], p.shape[0]))
+    for a in range(3):
+        d = p[:, None, a] - p[None, :, a]
+        acc += d * d
+    return np.sqrt(acc)
+
+
 def _block_consistency(src: np.ndarray, tgt: np.ndarray, sigma_d: float) -> np.ndarray:
-    dx = np.sqrt(((src[:, None, :] - src[None, :, :]) ** 2).sum(axis=2))
-    dy = np.sqrt(((tgt[:, None, :] - tgt[None, :, :]) ** 2).sum(axis=2))
+    dx = _pairwise_distances(src)
+    dy = _pairwise_distances(tgt)
     delta = np.abs(dx - dy)
     val = 1.0 - (delta * delta) / (sigma_d * sigma_d)
     return np.maximum(0.0, val)

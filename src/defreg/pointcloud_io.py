@@ -38,6 +38,8 @@ def read_ply(path) -> PointCloud:
                 raise FileFormatError(f"{path}:{n}: unsupported element '{tokens[1]}'")
             if not tokens[2].isdigit():
                 raise FileFormatError(f"{path}:{n}: bad vertex count {tokens[2]!r}")
+            if int(tokens[2]) == 0:
+                raise FileFormatError(f"{path}:{n}: vertex element declares no vertices")
             count = int(tokens[2])
         elif tokens[0] == "property":
             if count is not None:

@@ -18,8 +18,12 @@ entry therefore contributes logit 0 (uniform weight), not -inf; this is
 reweighting, not masking.
 
 The same unit parameters process every node's block (weight sharing), so
-caches are returned per call instead of stored on layers; run_forward
-collects them into a tape that backward_through replays in reverse.
+caches are returned per call instead of stored on layers. Only a forward
+that will be differentiated keeps them: run_forward(..., keep_tape=True)
+collects every cache into a tape that backward_through replays in reverse.
+Without the tape each cache is dropped once the next layer has consumed
+its output, so an inference forward holds one node block's intermediates
+at a time instead of a tape that grows with every unit of every node.
 """
 
 from __future__ import annotations
@@ -261,7 +265,10 @@ def aggregate(node_features: dict, graph: DeformationGraph) -> np.ndarray:
 
 
 class ForwardState:
-    """Tape of one forward pass, consumed by backward_through."""
+    """Result of one forward pass: the encoded input, the pre-head features
+    and the scores. A taped pass also holds the layer caches that
+    backward_through consumes; a tape-free one leaves the cache lists empty
+    and logit_cache None."""
 
     __slots__ = ("encoded", "init_caches", "block_states", "features", "head_caches", "logit_cache", "scores")
 
@@ -269,11 +276,15 @@ class ForwardState:
         self.init_caches = []
         self.block_states = []
         self.head_caches = []
+        self.logit_cache = None
 
 
 def run_forward(model: ScNetModel, corr: CorrespondenceSet, graph: DeformationGraph,
-                theta: LocalConsistency) -> ForwardState:
-    """Full forward pass keeping every cache; returns the tape."""
+                theta: LocalConsistency, keep_tape: bool = False) -> ForwardState:
+    """Full forward pass. With keep_tape every layer cache is kept for
+    backward_through; without it the caches are dropped as the pass goes.
+    Both run the same operations in the same order, so encoded, features
+    and scores are bitwise the same either way."""
     if graph.num_points != len(corr):
         raise ValidationError("graph was not built over these correspondences")
     state = ForwardState()
@@ -283,7 +294,8 @@ def run_forward(model: ScNetModel, corr: CorrespondenceSet, graph: DeformationGr
         y, c_lin = lin.forward(feats)
         y, c_gn = gn.forward(y)
         feats, c_act = model.act.forward(y)
-        state.init_caches.append((c_lin, c_gn, c_act))
+        if keep_tape:
+            state.init_caches.append((c_lin, c_gn, c_act))
 
     for block in model.blocks:
         node_records = []
@@ -297,10 +309,12 @@ def run_forward(model: ScNetModel, corr: CorrespondenceSet, graph: DeformationGr
             unit_caches = []
             for unit in block:
                 z, cache = unit.forward(z, theta.blocks[j])
-                unit_caches.append(cache)
+                if keep_tape:
+                    unit_caches.append(cache)
             node_records.append((j, members, unit_caches))
             node_out[j] = z
-        state.block_states.append(node_records)
+        if keep_tape:
+            state.block_states.append(node_records)
         feats = aggregate(node_out, graph)
     state.features = feats
 
@@ -308,8 +322,11 @@ def run_forward(model: ScNetModel, corr: CorrespondenceSet, graph: DeformationGr
         y, c_lin = lin.forward(feats)
         y, c_gn = gn.forward(y)
         feats, c_act = model.act.forward(y)
-        state.head_caches.append((c_lin, c_gn, c_act))
-    logits, state.logit_cache = model.head_out.forward(feats)
+        if keep_tape:
+            state.head_caches.append((c_lin, c_gn, c_act))
+    logits, logit_cache = model.head_out.forward(feats)
+    if keep_tape:
+        state.logit_cache = logit_cache
     state.scores = sigmoid(logits[:, 0])
     return state
 
@@ -317,7 +334,10 @@ def run_forward(model: ScNetModel, corr: CorrespondenceSet, graph: DeformationGr
 def backward_through(model: ScNetModel, graph: DeformationGraph, state: ForwardState,
                      d_scores: np.ndarray, d_features: np.ndarray | None = None) -> None:
     """Accumulate parameter gradients for dL/dscores and (optionally) a
-    direct dL/dfeatures term on the pre-head feature matrix."""
+    direct dL/dfeatures term on the pre-head feature matrix. The state
+    must come from run_forward(..., keep_tape=True)."""
+    if state.logit_cache is None:
+        raise ValidationError("forward state holds no tape; run_forward(..., keep_tape=True)")
     s = state.scores
     dlogits = (d_scores * s * (1.0 - s))[:, None]
     dfeats = model.head_out.backward(state.logit_cache, dlogits)

@@ -178,7 +178,7 @@ def backward(model: ScNetModel, batch: TrainScene, gamma: float = 2.0, loss_lamb
     if batch.labels is None:
         raise ValidationError("training scene has no labels")
     model.zero_grad()
-    state = run_forward(model, batch.corr, batch.graph, batch.theta)
+    state = run_forward(model, batch.corr, batch.graph, batch.theta, keep_tape=True)
     cls, dscores = _focal_mean_grad(state.scores, batch.labels, gamma)
     con, dfeatures, dsigma = _consistency_terms(
         state.features, batch.graph, batch.labels, model.sigma_f, want_grad=True

@@ -79,6 +79,11 @@ def test_ply_extra_scalar_property_is_skipped(tmp_path):
             "bad.ply:8: non-ASCII byte",
         ),
         ("ply\nformat ascii 1.0\nelement vertex many\nend_header\n", "bad.ply:3: bad vertex count"),
+        (
+            "ply\nformat ascii 1.0\nelement vertex 0\n"
+            "property float x\nproperty float y\nproperty float z\nend_header\n",
+            "bad.ply:3: vertex element declares no vertices",
+        ),
         ("ply\nformat ascii 1.0\nelement\nend_header\n", "bad.ply:3: element line"),
         (
             "ply\nformat ascii 1.0\nelement vertex 2\n"

@@ -1,5 +1,7 @@
 """Network layers, attention blocks, forward pass, and parameter files."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from defreg.scnet.model import (
     ScNetModel,
     ScaUnit,
     aggregate,
+    backward_through,
     classify,
     encode_input,
     run_forward,
@@ -37,12 +40,12 @@ def _micro_model(seed=0, **overrides):
     return ScNetModel(ScNetConfig(seed=seed, **cfg))
 
 
-def _scene(seed=0, n=10):
+def _scene(seed=0, n=10, coverage=0.25, assign_k=3):
     rng = np.random.default_rng(seed)
     src = rng.uniform(size=(n, 3)) * 0.4
     tgt = src + rng.normal(scale=0.03, size=src.shape)
     corr = CorrespondenceSet(src, tgt)
-    graph = build_graph(src, 0.25, 3)
+    graph = build_graph(src, coverage, assign_k)
     theta = local_consistency(corr, graph, 0.08)
     return corr, graph, theta
 
@@ -401,6 +404,48 @@ def test_run_forward_rejects_missing_theta_block():
 
     with pytest.raises(ValidationError, match="missing node"):
         run_forward(_micro_model(), corr, graph, LocalConsistency(broken, theta.sigma_d))
+
+
+def _default_model_scene():
+    """The full-size model on N = 240 with the prune graph's k = 6 nodes per row."""
+    return ScNetModel(ScNetConfig()), _scene(19, 240, coverage=0.08, assign_k=6)
+
+
+@pytest.mark.parametrize("size", ["micro", "default"])
+def test_tape_free_forward_matches_taped_bitwise(size):
+    if size == "micro":
+        model, (corr, graph, theta) = _micro_model(seed=2), _scene(19, 12)
+    else:
+        model, (corr, graph, theta) = _default_model_scene()
+    free = run_forward(model, corr, graph, theta)
+    taped = run_forward(model, corr, graph, theta, keep_tape=True)
+    for name in ("encoded", "features", "scores"):
+        assert getattr(free, name).tobytes() == getattr(taped, name).tobytes()
+    assert not (free.init_caches or free.block_states or free.head_caches)
+    assert free.logit_cache is None
+
+
+def test_tape_free_forward_memory_is_bounded():
+    model, (corr, graph, theta) = _default_model_scene()
+    peaks = {}
+    for keep_tape in (False, True):
+        tracemalloc.start()
+        try:
+            state = run_forward(model, corr, graph, theta, keep_tape=keep_tape)
+            peaks[keep_tape] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del state
+    assert peaks[False] < peaks[True] / 10
+
+
+def test_backward_through_requires_tape():
+    corr, graph, theta = _scene(20, 10)
+    model = _micro_model()
+    state = run_forward(model, corr, graph, theta)
+    with pytest.raises(ValidationError, match="holds no tape"):
+        backward_through(model, graph, state, np.ones(len(corr)))
+    assert not model.grad_vector().any()
 
 
 def test_model_seed_determinism():
