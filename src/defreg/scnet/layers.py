@@ -7,7 +7,10 @@ living on the layer, because one layer instance is applied to many
 per-node feature blocks inside a single forward pass (weight sharing
 across graph nodes).
 
-All math is float64. Gradient formulas follow the usual identities; the
+Every layer computes in the dtype of its input and parameters: float64
+when the model is constructed and trained, float32 when it is loaded from
+a parameter file (which stores float32) and only scored. Constants are
+Python floats so that they never promote a float32 pass. Gradient formulas follow the usual identities; the
 normalization backward is
 
     dx = (g - mean(g) - xhat * mean(g * xhat)) / std,   g = dy * gamma

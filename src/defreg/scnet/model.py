@@ -6,9 +6,10 @@ Data flow for one correspondence set:
   init MLP          three linear+groupnorm+leakyrelu layers up to width d
   embedding blocks  per graph node: gather member rows, run the node's
                     consistency block through stacked attention units,
-                    then blend every correspondence's per-node outputs
-                    with its skinning weights (ascending node order, so
-                    the reduction is bitwise deterministic)
+                    then add the node's output, weighted by its members'
+                    skinning weights, into the block's blended features
+                    (ascending node order, so the reduction is bitwise
+                    deterministic and equal to aggregate's)
   head              two linear+groupnorm+leakyrelu layers then a linear
                     to one logit and a sigmoid score per correspondence
 
@@ -24,6 +25,13 @@ collects every cache into a tape that backward_through replays in reverse.
 Without the tape each cache is dropped once the next layer has consumed
 its output, so an inference forward holds one node block's intermediates
 at a time instead of a tape that grows with every unit of every node.
+
+The pass computes in the dtype of the model's parameters: float64 for a
+constructed model (training and its gradient checks), float32 for one
+loaded from a parameter file, which stores float32. The encoded input,
+consistency blocks and skinning weights are built in float64 and cast to
+that dtype where the pass takes them up; scores are the sigmoid of float64
+logits in both cases.
 """
 
 from __future__ import annotations
@@ -111,6 +119,8 @@ class ScaUnit:
     def __init__(self, dim: int, slope: float, rng: np.random.Generator):
         bound = np.sqrt(1.0 / dim)
         self.dim = dim
+        # a Python float: an np.float64 scalar would promote a float32 pass to float64
+        self.inv_sqrt_d = 1.0 / float(np.sqrt(dim))
         self.wq = rng.uniform(-bound, bound, size=(dim, dim))
         self.wk = rng.uniform(-bound, bound, size=(dim, dim))
         self.wv = rng.uniform(-bound, bound, size=(dim, dim))
@@ -127,11 +137,10 @@ class ScaUnit:
     def forward(self, feats: np.ndarray, theta: np.ndarray):
         if theta.shape != (feats.shape[0], feats.shape[0]):
             raise ValidationError("theta shape does not match feature block")
-        inv_sqrt_d = 1.0 / np.sqrt(self.dim)
         q = feats @ self.wq
         k = feats @ self.wk
         v = feats @ self.wv
-        logits = theta * (q @ k.T) * inv_sqrt_d
+        logits = theta * (q @ k.T) * self.inv_sqrt_d
         attn = softmax_rows(logits)
         mixed = attn @ v
         proj, c_proj = self.attn_out.forward(mixed)
@@ -145,7 +154,6 @@ class ScaUnit:
 
     def backward(self, cache, dz2: np.ndarray) -> np.ndarray:
         feats, theta, q, k, v, attn, c_proj, c_ln1, c_ff1, c_act, c_ff2, c_ln2 = cache
-        inv_sqrt_d = 1.0 / np.sqrt(self.dim)
         dsum2 = self.ln2.backward(c_ln2, dz2)
         dh1 = self.ff2.backward(c_ff2, dsum2)
         du1 = self.act.backward(c_act, dh1)
@@ -155,7 +163,7 @@ class ScaUnit:
         dattn = dmixed @ v.T
         dv = attn.T @ dmixed
         dlogits = softmax_backward(attn, dattn)
-        dqk = dlogits * theta * inv_sqrt_d
+        dqk = dlogits * theta * self.inv_sqrt_d
         dq = dqk @ k
         dk = dqk.T @ q
         self.gwq += feats.T @ dq
@@ -176,7 +184,8 @@ class ScaUnit:
 
 class ScNetModel:
     """Parameter container; all layers in declaration order, plus the
-    learnable feature-consistency tolerance sigma_f used by training."""
+    learnable feature-consistency tolerance sigma_f used by training.
+    Constructed parameters are float64; load_params installs float32 ones."""
 
     ENCODED_WIDTH = 18
 
@@ -202,21 +211,39 @@ class ScNetModel:
         self.sigma_f = np.array(1.0)
         self.gsigma_f = np.zeros(())
 
-    def params(self):
-        """(name, value, grad) triples in declaration order."""
+    def _layers(self):
+        """(name prefix, layer) for every parameterized layer in declaration order."""
         items = []
         for i, (lin, gn) in enumerate(self.init_layers):
-            items += [(f"init.{i}.lin.{n}", p, g) for n, p, g in lin.params()]
-            items += [(f"init.{i}.gn.{n}", p, g) for n, p, g in gn.params()]
+            items += [(f"init.{i}.lin.", lin), (f"init.{i}.gn.", gn)]
         for bi, block in enumerate(self.blocks):
-            for ui, unit in enumerate(block):
-                items += [(f"block.{bi}.unit.{ui}.{n}", p, g) for n, p, g in unit.params()]
+            items += [(f"block.{bi}.unit.{ui}.", unit) for ui, unit in enumerate(block)]
         for i, (lin, gn) in enumerate(self.head_layers):
-            items += [(f"head.{i}.lin.{n}", p, g) for n, p, g in lin.params()]
-            items += [(f"head.{i}.gn.{n}", p, g) for n, p, g in gn.params()]
-        items += [(f"head.out.{n}", p, g) for n, p, g in self.head_out.params()]
+            items += [(f"head.{i}.lin.", lin), (f"head.{i}.gn.", gn)]
+        items.append(("head.out.", self.head_out))
+        return items
+
+    def params(self):
+        """(name, value, grad) triples in declaration order."""
+        items = [(prefix + n, p, g) for prefix, layer in self._layers() for n, p, g in layer.params()]
         items.append(("sigma_f", self.sigma_f, self.gsigma_f))
         return items
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype run_forward computes in."""
+        return self.head_out.w.dtype
+
+    def install_params(self, values) -> None:
+        """Replace every parameter array, in params() order, by the given
+        array itself (not a copy), so the model takes on its dtype."""
+        slots = [(layer, n) for _, layer in self._layers() for n, _, _ in layer.params()]
+        slots.append((self, "sigma_f"))
+        for (owner, name), value in zip(slots, values, strict=True):
+            *path, attr = name.split(".")  # a unit's sublayer parameters are "ln1.gamma" etc.
+            for step in path:
+                owner = getattr(owner, step)
+            setattr(owner, attr, value)
 
     def zero_grad(self):
         for _, _, grad in self.params():
@@ -245,21 +272,24 @@ def encode_input(corr: CorrespondenceSet) -> np.ndarray:
 
 
 def aggregate(node_features: dict, graph: DeformationGraph) -> np.ndarray:
-    """Blend per-node outputs into per-correspondence rows, h_i = sum_j a_ij z_i^j.
+    """Blend per-node outputs into per-correspondence rows, h_i = sum_j a_ij z_i^j,
+    in the dtype of the node outputs.
 
     Nodes are reduced in ascending index order; with each correspondence's
     weights summing to 1 over its assigned nodes, the result is a convex
-    combination of that correspondence's per-node feature rows.
+    combination of that correspondence's per-node feature rows. run_forward
+    blends each node's output as it is produced in the same order and the
+    same operations, so this is its bitwise oracle.
     """
     if not node_features:
         raise ValidationError("no node features to aggregate")
-    width = next(iter(node_features.values())).shape[1]
-    out = np.zeros((graph.num_points, width))
+    first = next(iter(node_features.values()))
+    out = np.zeros((graph.num_points, first.shape[1]), first.dtype)
     for j in sorted(node_features):
         members = graph.node_to_members[j]
         if members.size == 0:
             continue
-        alpha = member_weights(graph, j)
+        alpha = member_weights(graph, j).astype(first.dtype, copy=False)
         out[members] += alpha[:, None] * node_features[j]
     return out
 
@@ -281,14 +311,23 @@ class ForwardState:
 
 def run_forward(model: ScNetModel, corr: CorrespondenceSet, graph: DeformationGraph,
                 theta: LocalConsistency, keep_tape: bool = False) -> ForwardState:
-    """Full forward pass. With keep_tape every layer cache is kept for
-    backward_through; without it the caches are dropped as the pass goes.
-    Both run the same operations in the same order, so encoded, features
-    and scores are bitwise the same either way."""
+    """Full forward pass in the dtype of the model's parameters. With
+    keep_tape every layer cache is kept for backward_through; without it the
+    caches are dropped as the pass goes. Both run the same operations in the
+    same order, so encoded, features and scores are bitwise the same either
+    way."""
     if graph.num_points != len(corr):
         raise ValidationError("graph was not built over these correspondences")
+    dtype = model.dtype
+    nodes = []  # (j, members, skinning weights as a column), ascending j
+    for j, members in enumerate(graph.node_to_members):
+        if members.size == 0:
+            continue
+        if j not in theta.blocks:
+            raise ValidationError(f"consistency blocks missing node {j}")
+        nodes.append((j, members, member_weights(graph, j).astype(dtype, copy=False)[:, None]))
     state = ForwardState()
-    state.encoded = encode_input(corr)
+    state.encoded = encode_input(corr).astype(dtype, copy=False)
     feats = state.encoded
     for lin, gn in model.init_layers:
         y, c_lin = lin.forward(feats)
@@ -299,23 +338,20 @@ def run_forward(model: ScNetModel, corr: CorrespondenceSet, graph: DeformationGr
 
     for block in model.blocks:
         node_records = []
-        node_out = {}
-        for j, members in enumerate(graph.node_to_members):
-            if members.size == 0:
-                continue
-            if j not in theta.blocks:
-                raise ValidationError(f"consistency blocks missing node {j}")
+        blended = np.zeros_like(feats)
+        for j, members, alpha in nodes:
+            node_theta = theta.blocks[j].astype(dtype, copy=False)
             z = feats[members]
             unit_caches = []
             for unit in block:
-                z, cache = unit.forward(z, theta.blocks[j])
+                z, cache = unit.forward(z, node_theta)
                 if keep_tape:
                     unit_caches.append(cache)
             node_records.append((j, members, unit_caches))
-            node_out[j] = z
+            blended[members] += alpha * z
         if keep_tape:
             state.block_states.append(node_records)
-        feats = aggregate(node_out, graph)
+        feats = blended
     state.features = feats
 
     for lin, gn in model.head_layers:
@@ -327,7 +363,7 @@ def run_forward(model: ScNetModel, corr: CorrespondenceSet, graph: DeformationGr
     logits, logit_cache = model.head_out.forward(feats)
     if keep_tape:
         state.logit_cache = logit_cache
-    state.scores = sigmoid(logits[:, 0])
+    state.scores = sigmoid(logits[:, 0].astype(np.float64, copy=False))
     return state
 
 

@@ -18,6 +18,11 @@ activation slope), not the init seed: a file may be loaded into any model
 instance compiled with the same architecture. Any other descriptor is
 rejected: it must equal, byte for byte, the one save_params writes for
 the model.
+
+load_params installs the stored float32 tensors as the model's parameters
+(writable copies the model owns), so a loaded model scores in float32;
+widening them to float64 would add no information. Training refuses such
+a model. Optimizer state is returned widened to float64.
 """
 
 from __future__ import annotations
@@ -58,9 +63,9 @@ def save_params(path, model: ScNetModel, optimizer_state: dict | None = None) ->
 
 
 def load_params(path, model: ScNetModel) -> dict | None:
-    """Fill the model's parameters from a file; returns optimizer state if
-    the file carries a checkpoint section, else None. The file descriptor
-    must match the model's compiled architecture exactly."""
+    """Install the file's float32 parameters in the model; returns optimizer
+    state if the file carries a checkpoint section, else None. The file
+    descriptor must match the model's compiled architecture exactly."""
     with open(path, "rb") as fh:
         data = fh.read()
     params = model.params()
@@ -89,8 +94,7 @@ def load_params(path, model: ScNetModel) -> dict | None:
     if descriptor != expected:
         raise ValidationError(f"{path}: architecture descriptor mismatch: file "
                               f"{descriptor.decode('utf-8', 'replace')}, model {expected.decode()}")
-    for (_, value, _), loaded in zip(params, tensors("parameter")):
-        value[...] = loaded
+    model.install_params([arr.astype(np.float32) for arr in tensors("parameter")])
     if offset == len(data):
         return None
     if take(8, "checkpoint tag") != OPT_TAG:

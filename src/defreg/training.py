@@ -177,6 +177,9 @@ def backward(model: ScNetModel, batch: TrainScene, gamma: float = 2.0, loss_lamb
     sigma_f), and return (total, cls, con) loss components."""
     if batch.labels is None:
         raise ValidationError("training scene has no labels")
+    if model.dtype != np.float64:
+        raise ValidationError(f"training runs on float64 parameters; this model holds "
+                              f"{model.dtype} ones loaded from a parameter file")
     model.zero_grad()
     state = run_forward(model, batch.corr, batch.graph, batch.theta, keep_tape=True)
     cls, dscores = _focal_mean_grad(state.scores, batch.labels, gamma)

@@ -231,7 +231,7 @@ def test_accept_7_pipeline_determinism(tmp_path):
     b = run(tmp_path / "run-b")
     compared = []
     for rel in ("data/scene0/corr.csv", "data/scene1/corr.csv", "model.bin",
-                "pruned.csv", "warp.txt"):
+                "pruned.csv", "scores.csv", "warp.txt", "trace.csv"):
         assert (a / rel).read_bytes() == (b / rel).read_bytes()
         compared.append(rel)
     print(f"[7] PASS determinism: {', '.join(compared)} byte-identical across "

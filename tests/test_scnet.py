@@ -33,11 +33,31 @@ from defreg.scnet.params_io import load_params, save_params
 MICRO = dict(feature_dim=8, init_widths=(8, 8, 8), head_widths=(8, 4, 1),
              num_blocks=1, units_per_block=1, num_groups=2)
 
+# Largest |score| gap between a loaded (float32) model and a float64 model
+# holding the same quantized values; measured at about 2.8e-7.
+FLOAT32_SCORE_TOL = 1e-5
+
 
 def _micro_model(seed=0, **overrides):
     cfg = dict(MICRO)
     cfg.update(overrides)
     return ScNetModel(ScNetConfig(seed=seed, **cfg))
+
+
+def _loaded(model, tmp_path):
+    """A fresh model of the same architecture loaded from model's parameter file."""
+    path = tmp_path / "loaded.params"
+    save_params(path, model)
+    fresh = ScNetModel(model.config)
+    load_params(path, fresh)
+    return fresh
+
+
+def _widened(model):
+    """A float64 model holding exactly model's parameter values."""
+    wide = ScNetModel(model.config)
+    wide.set_param_vector(model.param_vector().astype(np.float64))
+    return wide
 
 
 def _scene(seed=0, n=10, coverage=0.25, assign_k=3):
@@ -425,6 +445,30 @@ def test_tape_free_forward_matches_taped_bitwise(size):
     assert free.logit_cache is None
 
 
+@pytest.mark.parametrize("kind", ["constructed", "loaded"])
+def test_run_forward_blends_like_aggregate_bitwise(kind, tmp_path):
+    model = _micro_model(seed=6, num_blocks=2, units_per_block=2)
+    if kind == "loaded":
+        model = _loaded(model, tmp_path)
+    corr, graph, theta = _scene(21, 40, assign_k=3)
+    dtype = model.dtype
+    feats = encode_input(corr).astype(dtype)
+    for lin, gn in model.init_layers:
+        feats = model.act.forward(gn.forward(lin.forward(feats)[0])[0])[0]
+    for block in model.blocks:
+        node_out = {}
+        for j, members in enumerate(graph.node_to_members):
+            if members.size:
+                z = feats[members]
+                for unit in block:
+                    z, _ = unit.forward(z, theta.blocks[j].astype(dtype))
+                node_out[j] = z
+        feats = aggregate(node_out, graph)
+    got = run_forward(model, corr, graph, theta).features
+    assert got.dtype == feats.dtype == dtype
+    assert got.tobytes() == feats.tobytes()
+
+
 def test_tape_free_forward_memory_is_bounded():
     model, (corr, graph, theta) = _default_model_scene()
     peaks = {}
@@ -514,6 +558,28 @@ def test_params_round_trip_scores_stable(tmp_path):
     fresh = _micro_model(seed=9)
     load_params(path, fresh)
     np.testing.assert_array_equal(run_forward(fresh, corr, graph, theta).scores, before)
+
+
+@pytest.mark.parametrize("size", ["micro", "default"])
+def test_loaded_model_scores_in_float32_within_tolerance(size, tmp_path):
+    if size == "micro":
+        model, (corr, graph, theta) = _micro_model(seed=2), _scene(19, 12)
+    else:
+        model, (corr, graph, theta) = _default_model_scene()
+    loaded = _loaded(model, tmp_path)
+    narrow = run_forward(loaded, corr, graph, theta)
+    wide = run_forward(_widened(loaded), corr, graph, theta)
+    assert (model.dtype, loaded.dtype) == (np.float64, np.float32)
+    assert (wide.features.dtype, narrow.features.dtype) == (np.float64, np.float32)
+    assert wide.scores.dtype == narrow.scores.dtype == np.float64
+    assert np.abs(narrow.scores - wide.scores).max() <= FLOAT32_SCORE_TOL
+
+
+def test_loaded_params_are_owned_writable_float32(tmp_path):
+    loaded = _loaded(_micro_model(seed=3), tmp_path)
+    for name, value, _ in loaded.params():
+        assert value.dtype == np.float32, name
+        assert value.flags.owndata and value.flags.writeable, name
 
 
 def test_checkpoint_round_trip(tmp_path):

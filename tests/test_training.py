@@ -3,17 +3,21 @@
 import numpy as np
 import pytest
 
-from defreg.consistency import CorrespondenceSet
+from defreg.config import PipelineConfig, scnet_config, train_config
+from defreg.consistency import CorrespondenceSet, local_consistency
 from defreg.defgraph import build_graph
 from defreg.errors import NumericalError, ValidationError
 from defreg.geometry import PointCloud
 from defreg.nicp import WarpField
 from defreg.scnet.layers import Linear, sigmoid
-from defreg.scnet.model import ScNetConfig, ScNetModel
+from defreg.scnet.model import ScNetConfig, ScNetModel, classify, run_forward
+from defreg.scnet.params_io import load_params, save_params
+from defreg.synth import SceneSpec, generate_scene
 from defreg.training import (
     AdamState,
     TrainConfig,
     TrainScene,
+    backward,
     consistency_loss,
     focal_loss,
     gradient_check,
@@ -285,6 +289,53 @@ def test_train_divergence_raises_numerical_error():
     model.set_param_vector(vec)
     with np.errstate(all="ignore"), pytest.raises(NumericalError, match="diverged|non-finite"):
         train(model, _tiny_dataset(2), TrainConfig(epochs=1, learning_rate=1e-3))
+
+
+def test_training_refuses_loaded_float32_model(tmp_path):
+    path = tmp_path / "m.params"
+    save_params(path, _micro_model(seed=2))
+    model = _micro_model()
+    load_params(path, model)
+    before = model.param_vector().copy()
+    with pytest.raises(ValidationError, match="float64 parameters; this model holds float32"):
+        backward(model, make_check_scene(0))
+    with pytest.raises(ValidationError, match="float64 parameters"):
+        train(model, _tiny_dataset(2), TrainConfig(epochs=1, learning_rate=1e-3))
+    np.testing.assert_array_equal(model.param_vector(), before)
+
+
+def test_saved_model_prunes_like_the_model_train_produced(tmp_path):
+    """The README's small model, trained on fewer scenes and epochs: the
+    saved and loaded (float32) model keeps the same correspondences as the
+    in-memory float64 one, except any scored within 1e-5 of the threshold."""
+    tol = 1e-5
+    config = PipelineConfig(feature_dim=32, num_blocks=1, units_per_block=2, num_groups=2,
+                            epochs=5, learning_rate=3e-3)
+
+    def corr_for(seed):
+        spec = SceneSpec(point_count=240, surface="two-lobe", warp_kind="smooth-graph",
+                         warp_magnitude=(0.2, 0.05), inlier_ratio=0.5,
+                         inlier_noise_std=0.005, seed=seed)
+        return generate_scene(spec)[3]
+
+    dataset = [prepare_scene(corr_for(100 + i), config.prune_coverage, config.prune_assign_k,
+                             config.consistency_sigma) for i in range(8)]
+    model = ScNetModel(scnet_config(config))
+    train(model, dataset, train_config(config))
+    path = tmp_path / "model.bin"
+    save_params(path, model)
+    loaded = ScNetModel(scnet_config(config))
+    load_params(path, loaded)
+    tau = config.score_threshold
+    for seed in range(5000, 5005):
+        corr = corr_for(seed)
+        graph = build_graph(corr.source, config.prune_coverage, config.prune_assign_k)
+        theta = local_consistency(corr, graph, config.consistency_sigma)
+        wide = run_forward(model, corr, graph, theta).scores
+        narrow = run_forward(loaded, corr, graph, theta).scores
+        assert np.abs(narrow - wide).max() <= tol
+        differ = np.setxor1d(classify(wide, tau), classify(narrow, tau))
+        assert (np.abs(wide[differ] - tau) <= tol).all()
 
 
 def test_train_config_validation():
