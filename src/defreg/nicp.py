@@ -11,12 +11,16 @@ minimizes
 by damped Gauss-Newton steps on the stacked per-node axis-angle and
 translation increments [w_1..w_V, dt_1..dt_V], linearized at w = 0.
 
-The source points are fixed, so `solve` assigns them to nodes once and
-reuses that assignment for every residual and cost. Each step assembles
-the 6V x 6V normal equations directly from per-residual Jacobian blocks:
-a correspondence touches the 2k block columns of its k nodes, an edge
-three. `jacobian` builds the full dense Jacobian and is the reference
-the block assembly is tested against.
+The source points are fixed, so `solve` assigns them to nodes once and,
+also once per solve, sums node-pair moments of the correspondences and
+edges (`_Problem`). Each step assembles J^T J from those moments and the
+current rotations, in time linear in the number of node pairs rather
+than in correspondences times k^2. The translation block of J^T J does
+not depend on the field, so its damped inverse is factored once per
+solve too; each step solves only the 3V x 3V Schur complement for the
+rotations and back-substitutes for the translations (the reduced system
+of bundle adjustment). `jacobian` builds the full dense Jacobian and is
+the reference the assembly is tested against.
 """
 
 from __future__ import annotations
@@ -177,17 +181,36 @@ def jacobian(field: WarpField, corr: CorrespondenceSet, edges: np.ndarray,
 
 @dataclass(frozen=True)
 class _Problem:
-    """What stays fixed while a solve iterates: the correspondences'
-    assignment to nodes, and the flat positions in the normal equations of
-    every entry of each residual's Jacobian-block products."""
+    """What stays fixed while a solve iterates.
+
+    Each residual's Jacobian row block is a sum of terms, one per node j it
+    touches: -c skew(R_j q) in w_j's columns and c I in dt_j's. A
+    correspondence has one term per assigned node, with c = sqrt(lambda_corr)
+    alpha_j and lever q = x - v_j. An edge (u, w) has two: c = sqrt(lambda_reg)
+    with q = v_w - v_u at u, and c = -sqrt(lambda_reg) with q = 0 at w.
+
+    For every node pair (a, b) whose terms share a residual, the moments
+    W_ab = sum c_a c_b, m_ab = sum c_a c_b q_a and M_ab = sum c_a c_b q_b q_a^T
+    fix every block of J^T J up to the current rotations. The translation
+    block is W (x) I3, with W the V x V matrix of the W_ab; it does not
+    depend on the field at all, so the damped W + marquardt I is factored
+    here, once.
+    """
 
     corr: CorrespondenceSet
     edges: np.ndarray
     config: SolverConfig
-    order: np.ndarray           # (N, k') node indices per correspondence
-    weights: np.ndarray         # (N, k') skinning weights
-    normal_index: np.ndarray    # flat index into the 6V x 6V matrix
-    gradient_index: np.ndarray  # index into the 6V gradient
+    order: np.ndarray         # (N, k') node indices per correspondence
+    weights: np.ndarray       # (N, k') skinning weights
+    term_rows: np.ndarray     # (T,) residual (3-row group) of each term
+    term_nodes: np.ndarray    # (T,) node of each term
+    term_coefs: np.ndarray    # (T,) c
+    term_levers: np.ndarray   # (T, 3) q
+    pairs: np.ndarray         # (P, 2) node pairs (a, b) sharing a residual
+    pair_weights: np.ndarray  # (P,) W_ab
+    pair_levers: np.ndarray   # (P, 3) m_ab
+    pair_moments: np.ndarray  # (P, 3, 3) M_ab
+    whitener: np.ndarray      # (V, V) L^-1, where W + marquardt I = L L^T
 
     def residuals(self, field: WarpField) -> np.ndarray:
         return _residual_vector(field, self.corr, self.edges, self.config,
@@ -196,72 +219,91 @@ class _Problem:
 
 def _problem(graph: DeformationGraph, corr: CorrespondenceSet,
              config: SolverConfig) -> _Problem:
-    """Assign the correspondences once and lay out the block scatter over
-    the graph's own edges.
-
-    Block columns count in units of 3 unknowns: node j's rotation is block
-    j, its translation block V + j. A correspondence touches the rotation
-    and translation blocks of its k' nodes, an edge (u, w) the rotation of
-    u and the translations of u and w.
-    """
+    """Assign the correspondences once and sum the node-pair moments."""
     edges = np.asarray(graph.edges, dtype=np.int64).reshape(-1, 2)
     order, weights = assign_points(corr.source, graph.nodes, graph.assign_k, graph.coverage)
-    v = graph.num_nodes
-    corr_cols = np.concatenate([order, v + order], axis=1)
-    edge_cols = np.stack([edges[:, 0], v + edges[:, 0], v + edges[:, 1]], axis=1)
-    normal_index, gradient_index = [], []
-    for cols in (corr_cols, edge_cols):
-        unknowns = (3 * cols[:, :, None] + np.arange(3)).reshape(cols.shape[0], 3 * cols.shape[1])
-        normal_index.append((6 * v * unknowns[:, :, None] + unknowns[:, None, :]).ravel())
-        gradient_index.append(unknowns.ravel())
-    return _Problem(corr, edges, config, order, weights,
-                    np.concatenate(normal_index), np.concatenate(gradient_index))
-
-
-def _jacobian_blocks(field: WarpField, problem: _Problem):
-    """Each residual's three rows of `jacobian`, restricted to the block
-    columns it touches, in `_problem`'s column order: (N, 3, 6k') for the
-    correspondences and (E, 3, 9) for the edges. Every other entry of
-    those rows is zero."""
-    nodes = field.graph.nodes
-    sc = np.sqrt(problem.config.lambda_corr)
-    sr = np.sqrt(problem.config.lambda_reg)
-    order, alpha = problem.order, problem.weights[:, :, None, None]
-    lever = np.einsum("nkab,nkb->nka", field.rotations[order],
-                      problem.corr.source[:, None, :] - nodes[order])
-    # d r_corr / d w_j = -sqrt(lc) * alpha * skew(R_j (x - v_j)); d / d dt_j = sqrt(lc) * alpha
-    corr_blocks = np.concatenate([-sc * alpha * skew(lever), sc * alpha * np.eye(3)], axis=1)
-    u, w = problem.edges[:, 0], problem.edges[:, 1]
-    lever = np.einsum("eab,eb->ea", field.rotations[u], nodes[w] - nodes[u])
-    eye = np.broadcast_to(np.eye(3), lever.shape + (3,))
-    edge_blocks = sr * np.stack([-skew(lever), eye, -eye], axis=1)
-    # (m, blocks, 3 rows, 3 cols) -> (m, 3 rows, blocks * 3 cols)
-    return tuple(b.transpose(0, 2, 1, 3).reshape(b.shape[0], 3, 3 * b.shape[1])
-                 for b in (corr_blocks, edge_blocks))
+    nodes, v, n = graph.nodes, graph.num_nodes, len(corr)
+    sr = np.sqrt(config.lambda_reg)
+    u, w = edges[:, 0], edges[:, 1]
+    # (residuals, terms per residual) arrays: correspondences, then edges
+    groups = [
+        (order, np.sqrt(config.lambda_corr) * weights, corr.source[:, None, :] - nodes[order]),
+        (edges, np.broadcast_to([sr, -sr], edges.shape),
+         np.stack([nodes[w] - nodes[u], np.zeros((len(edges), 3))], axis=1)),
+    ]
+    keys, columns = [], []
+    for j, c, q in groups:
+        # term a on axis 1, term b on axis 2: c_a c_b, c_a c_b q_a, c_a c_b q_b q_a^T
+        cc = (c[:, :, None] * c[:, None, :])[..., None]
+        outer = q[:, None, :, :, None] * q[:, :, None, None, :]
+        keys.append((v * j[:, :, None] + j[:, None, :]).ravel())
+        columns.append(np.concatenate([cc, cc * q[:, :, None, :],
+                                       cc * outer.reshape(cc.shape[:3] + (9,))],
+                                      axis=-1).reshape(-1, 13))
+    keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    columns = np.concatenate(columns)
+    sums = np.stack([np.bincount(inverse, columns[:, i], minlength=len(keys))
+                     for i in range(13)], axis=1)
+    pairs = np.stack(np.divmod(keys, v), axis=1)
+    damped = config.marquardt * np.eye(v)
+    damped[pairs[:, 0], pairs[:, 1]] += sums[:, 0]
+    try:
+        whitener = np.linalg.inv(np.linalg.cholesky(damped))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("solver breakdown: translation block is not positive definite") from exc
+    term_nodes, term_coefs, term_levers = (
+        np.concatenate([g[i].reshape(-1, *g[i].shape[2:]) for g in groups]) for i in range(3))
+    term_rows = np.concatenate([np.repeat(np.arange(n), order.shape[1]),
+                                np.repeat(n + np.arange(len(edges)), 2)])
+    return _Problem(corr, edges, config, order, weights, term_rows, term_nodes, term_coefs,
+                    term_levers, pairs, sums[:, 0], sums[:, 1:4], sums[:, 4:].reshape(-1, 3, 3),
+                    whitener)
 
 
 def _normal_equations(field: WarpField, problem: _Problem):
-    """J^T J and J^T r at the field, summed from per-residual blocks."""
-    r = problem.residuals(field).reshape(-1, 3)
-    n = len(problem.corr)
-    products, gradients = [], []
-    for jac, res in zip(_jacobian_blocks(field, problem), (r[:n], r[n:])):
-        products.append(np.matmul(jac.transpose(0, 2, 1), jac).ravel())
-        gradients.append(np.einsum("mai,ma->mi", jac, res).ravel())
-    size = 6 * field.graph.num_nodes
-    normal = np.bincount(problem.normal_index, np.concatenate(products),
-                         minlength=size * size).reshape(size, size)
-    gradient = np.bincount(problem.gradient_index, np.concatenate(gradients), minlength=size)
-    return normal, gradient
+    """J^T J = [[A, B], [B^T, W (x) I3]] and J^T r at the field, from the
+    node-pair moments. Returns A (3V, 3V); B (3V, 3V) with its translation
+    columns ordered by component (x of every node, then y, then z), so that
+    W (x) I3 acts on them as three copies of W; and J^T r (6V,) in
+    `jacobian`'s order."""
+    rot = field.rotations
+    v = field.graph.num_nodes
+    a, b = problem.pairs[:, 0], problem.pairs[:, 1]
+    # skew(R_a q_a)^T skew(R_b q_b) = (l_a . l_b) I - l_b l_a^T, summed over the pair
+    t = rot[b] @ problem.pair_moments @ rot[a].transpose(0, 2, 1)
+    rotation = np.zeros((v, 3, v, 3))
+    rotation[a, :, b, :] = np.trace(t, axis1=1, axis2=2)[:, None, None] * np.eye(3) - t
+    mixed = np.zeros((v, 3, 3, v))
+    mixed[a, :, :, b] = skew(np.einsum("pij,pj->pi", rot[a], problem.pair_levers))
+    r = problem.residuals(field).reshape(-1, 3)[problem.term_rows]
+    lever = np.einsum("tij,tj->ti", rot[problem.term_nodes], problem.term_levers)
+    # d r / d w_j = -c skew(l), d r / d dt_j = c I
+    terms = problem.term_coefs[:, None] * np.concatenate([np.cross(lever, r), r], axis=1)
+    gradient = np.stack([np.bincount(problem.term_nodes, terms[:, i], minlength=v)
+                         for i in range(6)], axis=1)
+    return (rotation.reshape(3 * v, 3 * v), mixed.reshape(3 * v, 3 * v),
+            np.concatenate([gradient[:, :3].ravel(), gradient[:, 3:].ravel()]))
 
 
 def _step_vector(field: WarpField, problem: _Problem) -> np.ndarray:
-    normal, gradient = _normal_equations(field, problem)
-    normal[np.diag_indices_from(normal)] += problem.config.marquardt
+    """The damped step: the rotations from the Schur complement
+    S = A + mu I - B (I3 (x) (W + mu I)^-1) B^T, then the translations by
+    back-substitution. With W + mu I = L L^T and G = B (I3 (x) L^-T),
+    S = A + mu I - G G^T."""
+    rotation, mixed, gradient = _normal_equations(field, problem)
+    v = field.graph.num_nodes
+    whitener = problem.whitener
+    whitened = (mixed.reshape(9 * v, v) @ whitener.T).reshape(3 * v, 3 * v)
+    schur = rotation - whitened @ whitened.T
+    schur[np.diag_indices_from(schur)] += problem.config.marquardt
+    g_w = gradient[: 3 * v]
+    g_t = (gradient[3 * v:].reshape(v, 3).T @ whitener.T).ravel()  # (I3 (x) L^-1) J_t^T r
     try:
-        delta = np.linalg.solve(normal, -gradient)
+        omega = np.linalg.solve(schur, whitened @ g_t - g_w)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("solver breakdown: singular normal equations") from exc
+    shift = (-g_t - whitened.T @ omega).reshape(3, v) @ whitener
+    delta = np.concatenate([omega, shift.T.ravel()])
     if not np.isfinite(delta).all():
         raise NumericalError("solver breakdown: non-finite step")
     return delta
@@ -273,13 +315,19 @@ def _apply_step(field: WarpField, delta: np.ndarray) -> WarpField:
     v = field.graph.num_nodes
     omegas = delta[: 3 * v].reshape(v, 3)
     shifts = delta[3 * v:].reshape(v, 3)
-    rotations = project_rotation(exp_so3(omegas) @ field.rotations)
+    turns = exp_so3(omegas)
+    if not np.isfinite(turns).all():
+        raise NumericalError("solver breakdown: non-finite rotation update")
+    rotations = project_rotation(turns @ field.rotations)
     return WarpField(field.graph, rotations, field.translations + shifts)
 
 
 def _cost(field: WarpField, problem: _Problem) -> float:
     r = problem.residuals(field)
-    return float(r @ r)
+    cost = float(r @ r)
+    if not np.isfinite(cost):
+        raise NumericalError("solver breakdown: non-finite cost")
+    return cost
 
 
 def gauss_newton_step(field: WarpField, corr: CorrespondenceSet,
@@ -301,33 +349,36 @@ def solve(corr: CorrespondenceSet, source: PointCloud, config: SolverConfig,
     applying, so an already-converged problem records a single cost), a
     relative cost decrease below cost_tolerance, or a cost increase (the
     step is rejected and the previous iterate returned). The cost trace
-    over accepted iterates is non-increasing.
+    over accepted iterates is non-increasing. A non-finite cost, step or
+    rotation update raises NumericalError naming the iteration (0 for the
+    initial cost).
     """
     if len(corr) < 1:
         raise ValidationError("no correspondences")
     if graph is None:
         graph = build_graph(source, coverage, assign_k)
-    problem = _problem(graph, corr, config)
     field = WarpField.identity(graph)
-    cost = _cost(field, problem)
-    trace = [cost]
-    for _ in range(config.max_iterations):
-        try:
+    trace = []
+    try:
+        problem = _problem(graph, corr, config)
+        cost = _cost(field, problem)
+        trace.append(cost)
+        for _ in range(config.max_iterations):
             delta = _step_vector(field, problem)
-        except NumericalError as exc:
-            raise NumericalError(f"{exc} (iteration {len(trace)})") from exc
-        if np.abs(delta).max() < config.step_tolerance:
-            break
-        candidate = _apply_step(field, delta)
-        new_cost = _cost(candidate, problem)
-        if new_cost > cost:
-            break
-        field = candidate
-        trace.append(new_cost)
-        converged = (cost - new_cost) <= config.cost_tolerance * cost
-        cost = new_cost
-        if converged:
-            break
+            if np.abs(delta).max() < config.step_tolerance:
+                break
+            candidate = _apply_step(field, delta)
+            new_cost = _cost(candidate, problem)
+            if new_cost > cost:
+                break
+            field = candidate
+            trace.append(new_cost)
+            converged = (cost - new_cost) <= config.cost_tolerance * cost
+            cost = new_cost
+            if converged:
+                break
+    except NumericalError as exc:
+        raise NumericalError(f"{exc} (iteration {len(trace)})") from exc
     return SolveResult(field=field, cost_trace=tuple(trace))
 
 

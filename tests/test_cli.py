@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from defreg.cli import main
+from defreg.consistency import CorrespondenceSet, write_corr_csv
+from defreg.geometry import PointCloud
+from defreg.pointcloud_io import write_ply
 from defreg.scnet.model import ScNetConfig, ScNetModel
 from defreg.scnet.params_io import save_params
 
@@ -199,6 +202,21 @@ def test_eval_rejects_foreign_trace_file(tmp_path, mini_dataset, capsys, text, f
     assert main(["eval", "--pair", str(scene / "warp.txt"), str(scene / "warp.txt"),
                  str(scene / "source.ply"), "--trace", str(trace)]) == 4
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("offset", [1e154, 1e156])
+def test_register_overflow_exits_3(tmp_path, capsys, offset):
+    # At +1e154 the initial cost overflows to inf; at +1e156 the first step's
+    # rotation part would also overflow exp_so3. Neither may write a trace.
+    source = np.random.default_rng(0).random((50, 3))
+    write_corr_csv(tmp_path / "corr.csv", CorrespondenceSet(source, source + offset))
+    write_ply(tmp_path / "source.ply", PointCloud(source))
+    with np.errstate(all="ignore"):
+        code = main(["register", "--corr", str(tmp_path / "corr.csv"),
+                     "--source", str(tmp_path / "source.ply"), "--out", str(tmp_path / "est.txt")])
+    assert code == 3
+    assert "solver breakdown: non-finite cost (iteration 0)" in capsys.readouterr().err
+    assert not (tmp_path / "cost-trace.csv").exists()
 
 
 def test_prune_rejects_mismatched_model(tmp_path, mini_dataset, config_path, capsys):

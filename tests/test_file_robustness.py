@@ -56,7 +56,7 @@ def written(tmp_path_factory):
     return files
 
 
-@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@settings(max_examples=400)
 @given(
     name=st.sampled_from(sorted(READERS)),
     position=st.floats(0.0, 1.0, exclude_max=True),

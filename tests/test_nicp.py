@@ -1,5 +1,7 @@
 """Embedded-deformation warp fields and the Gauss-Newton registration loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -202,12 +204,59 @@ def _bent_instance(seed, assign_k=6):
 def test_block_normal_equations_equal_dense_products(assign_k):
     _, corr, graph, field = _bent_instance(3, assign_k)
     cfg = SolverConfig(lambda_corr=25.0, lambda_reg=0.7)
-    normal, gradient = nicp._normal_equations(field, nicp._problem(graph, corr, cfg))
+    problem = nicp._problem(graph, corr, cfg)
+    rotation, mixed, gradient = nicp._normal_equations(field, problem)
+    v = graph.num_nodes
+    # mixed orders its translation columns by component, jacobian by node
+    mixed = mixed.reshape(3 * v, 3, v).transpose(0, 2, 1).reshape(3 * v, 3 * v)
+    weights = np.zeros((v, v))
+    weights[problem.pairs[:, 0], problem.pairs[:, 1]] = problem.pair_weights
+    normal = np.block([[rotation, mixed], [mixed.T, np.kron(weights, np.eye(3))]])
     jac = jacobian(field, corr, graph.edges, cfg)
     r = residuals(field, corr, graph.edges, cfg)
     for block, dense in ((normal, jac.T @ jac), (gradient, jac.T @ r)):
         assert block.shape == dense.shape
         assert np.abs(block - dense).max() <= 1e-12 * np.abs(dense).max()
+    damped = weights + cfg.marquardt * np.eye(v)
+    whitener = problem.whitener
+    np.testing.assert_allclose(whitener @ damped @ whitener.T, np.eye(v), atol=1e-12)
+
+
+@pytest.mark.parametrize("assign_k", [6, 1])
+def test_schur_step_equals_dense_damped_solve(assign_k):
+    _, corr, graph, field = _bent_instance(4, assign_k)
+    # one more node, far from every correspondence and on no edge: its rows
+    # of J^T J are zero, so only the damping keeps the system regular
+    far = graph.nodes.max(axis=0) + 10.0
+    graph = replace(graph, nodes=np.vstack([graph.nodes, far]),
+                    node_to_members=graph.node_to_members + (np.zeros(0, dtype=np.int64),),
+                    node_indices=np.append(graph.node_indices, -1))
+    field = WarpField(graph, np.concatenate([field.rotations, exp_so3([[0.1, 0.2, 0.3]])]),
+                      np.vstack([field.translations, [0.1, 0.0, 0.0]]))
+    cfg = SolverConfig(lambda_corr=25.0, lambda_reg=0.7)
+    problem = nicp._problem(graph, corr, cfg)
+    assert not (problem.pairs == graph.num_nodes - 1).any()
+    jac = jacobian(field, corr, graph.edges, cfg)
+    r = residuals(field, corr, graph.edges, cfg)
+    want = np.linalg.solve(jac.T @ jac + cfg.marquardt * np.eye(jac.shape[1]), -(jac.T @ r))
+    got = nicp._step_vector(field, problem)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    np.testing.assert_array_equal(got[3 * graph.num_nodes - 3:3 * graph.num_nodes], 0.0)
+
+
+def test_solve_factors_the_translation_block_once(monkeypatch):
+    calls = []
+    for name in ("cholesky", "inv"):
+        def counting(a, name=name, original=getattr(np.linalg, name)):
+            calls.append((name, np.shape(a)))
+            return original(a)
+        monkeypatch.setattr(np.linalg, name, counting)
+
+    src, corr, graph, _ = _bent_instance(7)
+    result = solve(corr, src, SolverConfig(max_iterations=4), graph=graph)
+    assert len(result.cost_trace) > 2
+    v = graph.num_nodes
+    assert calls == [("cholesky", (v, v)), ("inv", (v, v))]
 
 
 def _dense_reference_solve(corr, graph, cfg):
@@ -415,6 +464,29 @@ def test_solve_breakdown_raises_numerical_error():
     corr = CorrespondenceSet(pts, pts)
     with np.errstate(all="ignore"), pytest.raises(NumericalError, match=r"breakdown.*iteration"):
         solve(corr, PointCloud(pts), SolverConfig())
+
+
+def test_solve_rotation_overflow_raises_numerical_error():
+    # levers of 1e-6 against residuals of 1e150: the cost is finite, but the
+    # nearly undamped step turns the nodes by more than exp_so3 can square
+    rng = np.random.default_rng(0)
+    src = rng.random((50, 3)) * 1e-6
+    corr = CorrespondenceSet(src, src + 1e150 * rng.normal(size=src.shape))
+    with np.errstate(all="ignore"), pytest.raises(
+            NumericalError, match=r"non-finite rotation update \(iteration 1\)"):
+        solve(corr, PointCloud(src), SolverConfig(marquardt=1e-300))
+
+
+def test_solve_rank_deficient_translation_block_raises_numerical_error():
+    # two nodes, no edges, one correspondence halfway between them: W is
+    # lambda_corr / 4 in every entry, exactly singular, and a damping below
+    # its rounding leaves W + marquardt I singular too
+    pts = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]])
+    graph = replace(build_graph(pts, 0.05, 2), edges=np.zeros((0, 2), dtype=np.int64))
+    x = np.array([[0.05, 0.01, 0.0]])
+    with pytest.raises(NumericalError, match=r"not positive definite \(iteration 0\)"):
+        solve(CorrespondenceSet(x, x + 0.01), PointCloud(pts), SolverConfig(marquardt=1e-20),
+              graph=graph)
 
 
 def test_solver_config_validation():
