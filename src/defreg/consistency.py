@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from defreg.defgraph import DeformationGraph
-from defreg.errors import FileFormatError, ValidationError, parse_rows, read_lines
+from defreg.errors import FileFormatError, NumericalError, ValidationError, parse_rows, read_lines
 
 __all__ = [
     "CorrespondenceSet",
@@ -127,7 +127,8 @@ def local_consistency(corr: CorrespondenceSet, graph: DeformationGraph, sigma_d:
 
     The graph must have been built over the correspondences' source
     endpoints, so member indices index into ``corr``. Nodes with no
-    members are skipped.
+    members are skipped. Coordinates whose squared distances overflow leave
+    NaN in a block and raise NumericalError naming the node.
     """
     if sigma_d <= 0:
         raise ValidationError("sigma_d must be positive")
@@ -139,7 +140,10 @@ def local_consistency(corr: CorrespondenceSet, graph: DeformationGraph, sigma_d:
     for j, members in enumerate(graph.node_to_members):
         if members.size == 0:
             continue
-        blocks[j] = _block_consistency(corr.source[members], corr.target[members], float(sigma_d))
+        block = _block_consistency(corr.source[members], corr.target[members], float(sigma_d))
+        if np.isnan(block).any():
+            raise NumericalError(f"local consistency: node {j}'s pairwise distances overflow")
+        blocks[j] = block
     return LocalConsistency(blocks=blocks, sigma_d=float(sigma_d))
 
 

@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from defreg.errors import ValidationError
+from defreg.errors import NumericalError, ValidationError
 from defreg.geometry import _as_points, furthest_point_sample
 
 __all__ = [
@@ -111,7 +111,9 @@ def assign_points(points, node_positions, assign_k: int, bandwidth: float):
     ascending by distance with ties broken by lower node index.
 
     Points are processed in chunks of about _ASSIGN_CHUNK_ENTRIES
-    point-node distances, so memory stays bounded for large clouds.
+    point-node distances, so memory stays bounded for large clouds. A point
+    whose squared distance to its nearest node overflows has no defined
+    weights and raises NumericalError.
     """
     pts = _as_points(points)
     nodes = _as_points(node_positions)
@@ -124,6 +126,10 @@ def assign_points(points, node_positions, assign_k: int, bandwidth: float):
     for start in range(0, pts.shape[0], step):
         rows = slice(start, start + step)
         order[rows], sel[rows] = _nearest_nodes(pts[rows], nodes, kk)
+    far = np.isinf(sel[:, 0])
+    if far.any():
+        raise NumericalError(f"node assignment: point {int(np.argmax(far))}'s squared "
+                             f"distance to its nearest node overflows")
     return order, _gauss_weights(sel, float(bandwidth))
 
 

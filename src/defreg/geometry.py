@@ -170,7 +170,7 @@ def furthest_point_sample(cloud, coverage: float, start_index: int = 0) -> np.nd
         raise ValidationError(f"start_index {start_index} out of range for {n} points")
     selected = [int(start_index)]
     dist2 = np.sum((pts - pts[start_index]) ** 2, axis=1)
-    cov2 = float(coverage) ** 2
+    cov2 = float(coverage) * float(coverage)  # a float product rounds to inf, where ** raises
     while True:
         far = int(np.argmax(dist2))  # argmax takes the first max: lowest index wins ties
         if dist2[far] <= cov2:

@@ -12,20 +12,25 @@ by damped Gauss-Newton steps on the stacked per-node axis-angle and
 translation increments [w_1..w_V, dt_1..dt_V], linearized at w = 0.
 
 The source points are fixed, so `solve` assigns them to nodes once and,
-also once per solve, sums node-pair moments of the correspondences and
-edges (`_Problem`). Each step assembles J^T J from those moments and the
+also once per solve, writes every residual as a table of per-node terms
+minus a constant offset and sums node-pair moments of those terms
+(`_Problem`). Each field the loop visits is evaluated once from the
+table: its residuals, its cost and its rotated levers, which the next
+step's J^T r reuses. Each step assembles J^T J from the moments and the
 current rotations, in time linear in the number of node pairs rather
 than in correspondences times k^2. The translation block of J^T J does
 not depend on the field, so its damped inverse is factored once per
 solve too; each step solves only the 3V x 3V Schur complement for the
 rotations and back-substitutes for the translations (the reduced system
-of bundle adjustment). `jacobian` builds the full dense Jacobian and is
-the reference the assembly is tested against.
+of bundle adjustment). `residuals` and `jacobian` build the full dense
+residual vector and Jacobian and are the reference the solver is tested
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +46,6 @@ __all__ = [
     "SolveResult",
     "residuals",
     "jacobian",
-    "gauss_newton_step",
     "solve",
     "write_warp_field",
     "read_warp_field",
@@ -78,21 +82,14 @@ class WarpField:
     def warp(self, points) -> np.ndarray:
         """Evaluate the blended warp at arbitrary points."""
         pts = _as_points(points)
-        graph = self.graph
-        order, weights = assign_points(pts, graph.nodes, graph.assign_k, graph.coverage)
-        return _blend(self, pts, order, weights)
-
-
-def _blend(field: WarpField, pts: np.ndarray, order: np.ndarray,
-           weights: np.ndarray) -> np.ndarray:
-    """The warp at points already assigned to nodes (order, weights)."""
-    nodes = field.graph.nodes
-    out = np.zeros_like(pts)
-    for col in range(order.shape[1]):
-        j = order[:, col]
-        local = np.einsum("nab,nb->na", field.rotations[j], pts - nodes[j])
-        out += weights[:, col, None] * (local + nodes[j] + field.translations[j])
-    return out
+        nodes = self.graph.nodes
+        order, weights = assign_points(pts, nodes, self.graph.assign_k, self.graph.coverage)
+        out = np.zeros_like(pts)
+        for col in range(order.shape[1]):
+            j = order[:, col]
+            local = np.einsum("nab,nb->na", self.rotations[j], pts - nodes[j])
+            out += weights[:, col, None] * (local + nodes[j] + self.translations[j])
+        return out
 
 
 @dataclass(frozen=True)
@@ -114,34 +111,17 @@ class SolveResult:
     cost_trace: tuple
 
 
-def _corr_assignment(field: WarpField, corr: CorrespondenceSet):
-    graph = field.graph
-    return assign_points(corr.source, graph.nodes, graph.assign_k, graph.coverage)
-
-
 def residuals(field: WarpField, corr: CorrespondenceSet, edges: np.ndarray,
               config: SolverConfig) -> np.ndarray:
     """Stacked residual vector: 3 per correspondence, then 3 per edge."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    return _residual_vector(field, corr, edges, config, *_corr_assignment(field, corr))
-
-
-def _residual_vector(field: WarpField, corr: CorrespondenceSet, edges: np.ndarray,
-                     config: SolverConfig, order: np.ndarray,
-                     weights: np.ndarray) -> np.ndarray:
-    """`residuals` with the correspondences already assigned to nodes."""
-    n = len(corr)
-    r = np.zeros(3 * n + 3 * edges.shape[0])
-    sc = np.sqrt(config.lambda_corr)
-    r[: 3 * n] = (sc * (_blend(field, corr.source, order, weights) - corr.target)).ravel()
-    if edges.shape[0]:
-        u, v = edges[:, 0], edges[:, 1]
-        nodes = field.graph.nodes
-        sr = np.sqrt(config.lambda_reg)
-        bent = np.einsum("eab,eb->ea", field.rotations[u], nodes[v] - nodes[u])
-        r[3 * n:] = (sr * (bent + nodes[u] + field.translations[u]
-                           - (nodes[v] + field.translations[v]))).ravel()
-    return r
+    u, v = edges[:, 0], edges[:, 1]
+    nodes, tra = field.graph.nodes, field.translations
+    bent = np.einsum("eab,eb->ea", field.rotations[u], nodes[v] - nodes[u])
+    return np.concatenate([
+        (np.sqrt(config.lambda_corr) * (field.warp(corr.source) - corr.target)).ravel(),
+        (np.sqrt(config.lambda_reg) * (bent + nodes[u] + tra[u] - (nodes[v] + tra[v]))).ravel(),
+    ])
 
 
 def jacobian(field: WarpField, corr: CorrespondenceSet, edges: np.ndarray,
@@ -153,7 +133,7 @@ def jacobian(field: WarpField, corr: CorrespondenceSet, edges: np.ndarray,
     jac = np.zeros((3 * n + 3 * e, 6 * v))
     sc = np.sqrt(config.lambda_corr)
     sr = np.sqrt(config.lambda_reg)
-    order, weights = _corr_assignment(field, corr)
+    order, weights = assign_points(corr.source, graph.nodes, graph.assign_k, graph.coverage)
     rows = 3 * np.arange(n)
     for col in range(order.shape[1]):
         j = order[:, col]
@@ -183,11 +163,14 @@ def jacobian(field: WarpField, corr: CorrespondenceSet, edges: np.ndarray,
 class _Problem:
     """What stays fixed while a solve iterates.
 
-    Each residual's Jacobian row block is a sum of terms, one per node j it
-    touches: -c skew(R_j q) in w_j's columns and c I in dt_j's. A
-    correspondence has one term per assigned node, with c = sqrt(lambda_corr)
-    alpha_j and lever q = x - v_j. An edge (u, w) has two: c = sqrt(lambda_reg)
-    with q = v_w - v_u at u, and c = -sqrt(lambda_reg) with q = 0 at w.
+    Every residual is a sum of terms, one per node j it touches, minus a
+    constant offset: sum_j c (R_j q + v_j + t_j) - offset. A correspondence
+    has one term per assigned node, with c = sqrt(lambda_corr) alpha_j and
+    lever q = x - v_j, and the offset sqrt(lambda_corr) y. An edge (u, w)
+    has two: c = sqrt(lambda_reg) with q = v_w - v_u at u, and
+    c = -sqrt(lambda_reg) with q = 0 at w; its offset is 0. So a term's row
+    block of the Jacobian is -c skew(R_j q) in w_j's columns and c I in
+    dt_j's.
 
     For every node pair (a, b) whose terms share a residual, the moments
     W_ab = sum c_a c_b, m_ab = sum c_a c_b q_a and M_ab = sum c_a c_b q_b q_a^T
@@ -197,11 +180,8 @@ class _Problem:
     here, once.
     """
 
-    corr: CorrespondenceSet
-    edges: np.ndarray
     config: SolverConfig
-    order: np.ndarray         # (N, k') node indices per correspondence
-    weights: np.ndarray       # (N, k') skinning weights
+    offsets: np.ndarray       # (N + E, 3) constant of each residual
     term_rows: np.ndarray     # (T,) residual (3-row group) of each term
     term_nodes: np.ndarray    # (T,) node of each term
     term_coefs: np.ndarray    # (T,) c
@@ -212,10 +192,6 @@ class _Problem:
     pair_moments: np.ndarray  # (P, 3, 3) M_ab
     whitener: np.ndarray      # (V, V) L^-1, where W + marquardt I = L L^T
 
-    def residuals(self, field: WarpField) -> np.ndarray:
-        return _residual_vector(field, self.corr, self.edges, self.config,
-                                self.order, self.weights)
-
 
 def _problem(graph: DeformationGraph, corr: CorrespondenceSet,
              config: SolverConfig) -> _Problem:
@@ -223,11 +199,11 @@ def _problem(graph: DeformationGraph, corr: CorrespondenceSet,
     edges = np.asarray(graph.edges, dtype=np.int64).reshape(-1, 2)
     order, weights = assign_points(corr.source, graph.nodes, graph.assign_k, graph.coverage)
     nodes, v, n = graph.nodes, graph.num_nodes, len(corr)
-    sr = np.sqrt(config.lambda_reg)
+    sc, sr = np.sqrt(config.lambda_corr), np.sqrt(config.lambda_reg)
     u, w = edges[:, 0], edges[:, 1]
     # (residuals, terms per residual) arrays: correspondences, then edges
     groups = [
-        (order, np.sqrt(config.lambda_corr) * weights, corr.source[:, None, :] - nodes[order]),
+        (order, sc * weights, corr.source[:, None, :] - nodes[order]),
         (edges, np.broadcast_to([sr, -sr], edges.shape),
          np.stack([nodes[w] - nodes[u], np.zeros((len(edges), 3))], axis=1)),
     ]
@@ -255,19 +231,41 @@ def _problem(graph: DeformationGraph, corr: CorrespondenceSet,
         np.concatenate([g[i].reshape(-1, *g[i].shape[2:]) for g in groups]) for i in range(3))
     term_rows = np.concatenate([np.repeat(np.arange(n), order.shape[1]),
                                 np.repeat(n + np.arange(len(edges)), 2)])
-    return _Problem(corr, edges, config, order, weights, term_rows, term_nodes, term_coefs,
-                    term_levers, pairs, sums[:, 0], sums[:, 1:4], sums[:, 4:].reshape(-1, 3, 3),
-                    whitener)
+    offsets = np.concatenate([sc * corr.target, np.zeros((len(edges), 3))])
+    return _Problem(config, offsets, term_rows, term_nodes, term_coefs, term_levers, pairs,
+                    sums[:, 0], sums[:, 1:4], sums[:, 4:].reshape(-1, 3, 3), whitener)
 
 
-def _normal_equations(field: WarpField, problem: _Problem):
-    """J^T J = [[A, B], [B^T, W (x) I3]] and J^T r at the field, from the
+class _Iterate(NamedTuple):
+    """A field the solver visits, evaluated once."""
+
+    field: WarpField
+    residuals: np.ndarray  # (N + E, 3), in `residuals`' order
+    cost: float            # the squared norm of the residuals
+    levers: np.ndarray     # (T, 3) R_j q of every term
+
+
+def _evaluate(field: WarpField, problem: _Problem) -> _Iterate:
+    """The residuals at the field, summed from the term table."""
+    j, c = problem.term_nodes, problem.term_coefs[:, None]
+    levers = np.einsum("tij,tj->ti", field.rotations[j], problem.term_levers)
+    terms = c * (levers + field.graph.nodes[j] + field.translations[j])
+    r = np.stack([np.bincount(problem.term_rows, terms[:, i], minlength=len(problem.offsets))
+                  for i in range(3)], axis=1) - problem.offsets
+    cost = float(r.ravel() @ r.ravel())
+    if not np.isfinite(cost):
+        raise NumericalError("solver breakdown: non-finite cost")
+    return _Iterate(field, r, cost, levers)
+
+
+def _normal_equations(problem: _Problem, at: _Iterate):
+    """J^T J = [[A, B], [B^T, W (x) I3]] and J^T r at an iterate, from the
     node-pair moments. Returns A (3V, 3V); B (3V, 3V) with its translation
     columns ordered by component (x of every node, then y, then z), so that
     W (x) I3 acts on them as three copies of W; and J^T r (6V,) in
     `jacobian`'s order."""
-    rot = field.rotations
-    v = field.graph.num_nodes
+    rot = at.field.rotations
+    v = len(rot)
     a, b = problem.pairs[:, 0], problem.pairs[:, 1]
     # skew(R_a q_a)^T skew(R_b q_b) = (l_a . l_b) I - l_b l_a^T, summed over the pair
     t = rot[b] @ problem.pair_moments @ rot[a].transpose(0, 2, 1)
@@ -275,24 +273,23 @@ def _normal_equations(field: WarpField, problem: _Problem):
     rotation[a, :, b, :] = np.trace(t, axis1=1, axis2=2)[:, None, None] * np.eye(3) - t
     mixed = np.zeros((v, 3, 3, v))
     mixed[a, :, :, b] = skew(np.einsum("pij,pj->pi", rot[a], problem.pair_levers))
-    r = problem.residuals(field).reshape(-1, 3)[problem.term_rows]
-    lever = np.einsum("tij,tj->ti", rot[problem.term_nodes], problem.term_levers)
+    r = at.residuals[problem.term_rows]
     # d r / d w_j = -c skew(l), d r / d dt_j = c I
-    terms = problem.term_coefs[:, None] * np.concatenate([np.cross(lever, r), r], axis=1)
+    terms = problem.term_coefs[:, None] * np.concatenate([np.cross(at.levers, r), r], axis=1)
     gradient = np.stack([np.bincount(problem.term_nodes, terms[:, i], minlength=v)
                          for i in range(6)], axis=1)
     return (rotation.reshape(3 * v, 3 * v), mixed.reshape(3 * v, 3 * v),
             np.concatenate([gradient[:, :3].ravel(), gradient[:, 3:].ravel()]))
 
 
-def _step_vector(field: WarpField, problem: _Problem) -> np.ndarray:
+def _step_vector(problem: _Problem, at: _Iterate) -> np.ndarray:
     """The damped step: the rotations from the Schur complement
     S = A + mu I - B (I3 (x) (W + mu I)^-1) B^T, then the translations by
     back-substitution. With W + mu I = L L^T and G = B (I3 (x) L^-T),
     S = A + mu I - G G^T."""
-    rotation, mixed, gradient = _normal_equations(field, problem)
-    v = field.graph.num_nodes
+    rotation, mixed, gradient = _normal_equations(problem, at)
     whitener = problem.whitener
+    v = len(whitener)
     whitened = (mixed.reshape(9 * v, v) @ whitener.T).reshape(3 * v, 3 * v)
     schur = rotation - whitened @ whitened.T
     schur[np.diag_indices_from(schur)] += problem.config.marquardt
@@ -322,24 +319,6 @@ def _apply_step(field: WarpField, delta: np.ndarray) -> WarpField:
     return WarpField(field.graph, rotations, field.translations + shifts)
 
 
-def _cost(field: WarpField, problem: _Problem) -> float:
-    r = problem.residuals(field)
-    cost = float(r @ r)
-    if not np.isfinite(cost):
-        raise NumericalError("solver breakdown: non-finite cost")
-    return cost
-
-
-def gauss_newton_step(field: WarpField, corr: CorrespondenceSet,
-                      config: SolverConfig):
-    """One damped step on the field's own edges; returns (field, new cost)."""
-    if len(corr) < 1:
-        raise ValidationError("no correspondences")
-    problem = _problem(field.graph, corr, config)
-    updated = _apply_step(field, _step_vector(field, problem))
-    return updated, _cost(updated, problem)
-
-
 def solve(corr: CorrespondenceSet, source: PointCloud, config: SolverConfig,
           coverage: float = 0.08, assign_k: int = 6,
           graph: DeformationGraph | None = None) -> SolveResult:
@@ -349,37 +328,35 @@ def solve(corr: CorrespondenceSet, source: PointCloud, config: SolverConfig,
     applying, so an already-converged problem records a single cost), a
     relative cost decrease below cost_tolerance, or a cost increase (the
     step is rejected and the previous iterate returned). The cost trace
-    over accepted iterates is non-increasing. A non-finite cost, step or
-    rotation update raises NumericalError naming the iteration (0 for the
-    initial cost).
+    over accepted iterates is non-increasing. Each field the loop visits
+    is evaluated once, and an accepted one's residuals feed the next step.
+    A non-finite cost, step or rotation update raises NumericalError naming
+    the iteration (0 for the initial cost).
     """
     if len(corr) < 1:
         raise ValidationError("no correspondences")
     if graph is None:
         graph = build_graph(source, coverage, assign_k)
-    field = WarpField.identity(graph)
     trace = []
     try:
         problem = _problem(graph, corr, config)
-        cost = _cost(field, problem)
-        trace.append(cost)
+        at = _evaluate(WarpField.identity(graph), problem)
+        trace.append(at.cost)
         for _ in range(config.max_iterations):
-            delta = _step_vector(field, problem)
+            delta = _step_vector(problem, at)
             if np.abs(delta).max() < config.step_tolerance:
                 break
-            candidate = _apply_step(field, delta)
-            new_cost = _cost(candidate, problem)
-            if new_cost > cost:
+            candidate = _evaluate(_apply_step(at.field, delta), problem)
+            if candidate.cost > at.cost:
                 break
-            field = candidate
-            trace.append(new_cost)
-            converged = (cost - new_cost) <= config.cost_tolerance * cost
-            cost = new_cost
+            trace.append(candidate.cost)
+            converged = (at.cost - candidate.cost) <= config.cost_tolerance * at.cost
+            at = candidate
             if converged:
                 break
     except NumericalError as exc:
         raise NumericalError(f"{exc} (iteration {len(trace)})") from exc
-    return SolveResult(field=field, cost_trace=tuple(trace))
+    return SolveResult(field=at.field, cost_trace=tuple(trace))
 
 
 def write_warp_field(path, field: WarpField) -> None:

@@ -15,7 +15,7 @@ normalization backward is
 
     dx = (g - mean(g) - xhat * mean(g * xhat)) / std,   g = dy * gamma
 
-with means over the normalized axis (per group for group norm).
+with means over the channels of each group.
 """
 
 from __future__ import annotations
@@ -24,37 +24,30 @@ import numpy as np
 
 from defreg.errors import ValidationError
 
-__all__ = ["Linear", "GroupNorm", "LayerNorm", "LeakyRelu", "softmax_rows", "softmax_backward", "sigmoid"]
+__all__ = ["Linear", "GroupNorm", "LeakyRelu", "softmax_rows", "softmax_backward", "sigmoid"]
 
 
 class Linear:
     """y = x @ w + b, init uniform in +-sqrt(1/fan_in)."""
 
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, bias: bool = True):
+    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
         bound = np.sqrt(1.0 / n_in)
         self.w = rng.uniform(-bound, bound, size=(n_in, n_out))
-        self.b = rng.uniform(-bound, bound, size=n_out) if bias else None
+        self.b = rng.uniform(-bound, bound, size=n_out)
         self.gw = np.zeros_like(self.w)
-        self.gb = np.zeros_like(self.b) if bias else None
+        self.gb = np.zeros_like(self.b)
 
     def forward(self, x):
-        y = x @ self.w
-        if self.b is not None:
-            y = y + self.b
-        return y, x
+        return x @ self.w + self.b, x
 
     def backward(self, cache, dy):
         x = cache
         self.gw += x.T @ dy
-        if self.gb is not None:
-            self.gb += dy.sum(axis=0)
+        self.gb += dy.sum(axis=0)
         return dy @ self.w.T
 
     def params(self):
-        items = [("w", self.w, self.gw)]
-        if self.b is not None:
-            items.append(("b", self.b, self.gb))
-        return items
+        return [("w", self.w, self.gw), ("b", self.b, self.gb)]
 
 
 class LeakyRelu:
@@ -75,7 +68,8 @@ class LeakyRelu:
 
 
 class GroupNorm:
-    """Per-row group normalization over channel groups, affine per channel."""
+    """Per-row group normalization over channel groups, affine per channel.
+    One group normalizes each row over all its channels (layer norm)."""
 
     def __init__(self, channels: int, groups: int, eps: float = 1e-5):
         if channels % groups != 0:
@@ -111,37 +105,6 @@ class GroupNorm:
         mean_gx = (gg * xhat).mean(axis=2, keepdims=True)
         dx = (gg - mean_g - xhat * mean_gx) * inv_std
         return dx.reshape(n, c)
-
-    def params(self):
-        return [("gamma", self.gamma, self.ggamma), ("beta", self.beta, self.gbeta)]
-
-
-class LayerNorm:
-    """Row-wise normalization over the full feature axis, affine."""
-
-    def __init__(self, dim: int, eps: float = 1e-5):
-        self.dim = dim
-        self.eps = eps
-        self.gamma = np.ones(dim)
-        self.beta = np.zeros(dim)
-        self.ggamma = np.zeros_like(self.gamma)
-        self.gbeta = np.zeros_like(self.beta)
-
-    def forward(self, x):
-        mu = x.mean(axis=1, keepdims=True)
-        var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mu) * inv_std
-        return xhat * self.gamma + self.beta, (xhat, inv_std)
-
-    def backward(self, cache, dy):
-        xhat, inv_std = cache
-        self.ggamma += (dy * xhat).sum(axis=0)
-        self.gbeta += dy.sum(axis=0)
-        gg = dy * self.gamma
-        mean_g = gg.mean(axis=1, keepdims=True)
-        mean_gx = (gg * xhat).mean(axis=1, keepdims=True)
-        return (gg - mean_g - xhat * mean_gx) * inv_std
 
     def params(self):
         return [("gamma", self.gamma, self.ggamma), ("beta", self.beta, self.gbeta)]

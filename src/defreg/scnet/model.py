@@ -46,7 +46,6 @@ from defreg.defgraph import DeformationGraph, member_weights
 from defreg.errors import NumericalError, ValidationError, check_fields, nonnegative
 from defreg.scnet.layers import (
     GroupNorm,
-    LayerNorm,
     LeakyRelu,
     Linear,
     sigmoid,
@@ -128,10 +127,10 @@ class ScaUnit:
         self.gwk = np.zeros_like(self.wk)
         self.gwv = np.zeros_like(self.wv)
         self.attn_out = Linear(dim, dim, rng)
-        self.ln1 = LayerNorm(dim)
+        self.ln1 = GroupNorm(dim, 1)
         self.ff1 = Linear(dim, dim, rng)
         self.ff2 = Linear(dim, dim, rng)
-        self.ln2 = LayerNorm(dim)
+        self.ln2 = GroupNorm(dim, 1)
         self.act = LeakyRelu(slope)
 
     def forward(self, feats: np.ndarray, theta: np.ndarray):

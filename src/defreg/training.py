@@ -102,7 +102,7 @@ def _focal_mean_grad(scores: np.ndarray, labels: np.ndarray, gamma: float):
     n = scores.shape[0]
     s = np.clip(scores, SCORE_CLAMP, 1.0 - SCORE_CLAMP)
     lab = labels.astype(np.float64)
-    loss = float(np.mean(-lab * (1.0 - s) ** gamma * np.log(s) - (1.0 - lab) * s ** gamma * np.log(1.0 - s)))
+    loss = float(np.mean(focal_loss(scores, labels, gamma)))
     dpos = gamma * (1.0 - s) ** (gamma - 1.0) * np.log(s) - (1.0 - s) ** gamma / s
     dneg = -gamma * s ** (gamma - 1.0) * np.log(1.0 - s) + s ** gamma / (1.0 - s)
     ds = (lab * dpos + (1.0 - lab) * dneg) / n

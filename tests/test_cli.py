@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from defreg.cli import main
+from defreg.config import PipelineConfig, scnet_config
 from defreg.consistency import CorrespondenceSet, write_corr_csv
 from defreg.geometry import PointCloud
 from defreg.pointcloud_io import write_ply
@@ -219,6 +220,24 @@ def test_register_overflow_exits_3(tmp_path, capsys, offset):
     assert not (tmp_path / "cost-trace.csv").exists()
 
 
+def test_prune_overflowing_consistency_exits_3(tmp_path, capsys):
+    # at 1e155 the squared source and target distances overflow to inf,
+    # and inf - inf would hand the network NaN consistency blocks
+    scale = 1e155
+    model_path = tmp_path / "model.bin"
+    save_params(model_path, ScNetModel(scnet_config(PipelineConfig(**SMALL_CONFIG))))
+    config = _write_json(tmp_path / "cfg.json", dict(
+        SMALL_CONFIG, prune_coverage=0.08 * scale, consistency_sigma=0.08 * scale))
+    source = scale * np.random.default_rng(0).random((40, 3))
+    write_corr_csv(tmp_path / "corr.csv", CorrespondenceSet(source, source))
+    with np.errstate(all="ignore"):
+        code = main(["--config", config, "prune", "--corr", str(tmp_path / "corr.csv"),
+                     "--model", str(model_path), "--out", str(tmp_path / "p.csv")])
+    assert code == 3
+    assert "local consistency: node 0's pairwise distances overflow" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_prune_rejects_mismatched_model(tmp_path, mini_dataset, config_path, capsys):
     other = ScNetModel(ScNetConfig(feature_dim=8, init_widths=(8, 8, 8),
                                    head_widths=(8, 4, 1), num_blocks=1,
@@ -284,3 +303,16 @@ def test_inspect_graph(tmp_path, spec_path, capsys):
     dump = capsys.readouterr().out
     assert "nodes" in dump
     assert main(["inspect-graph", str(scene / "corr.csv"), "--coverage", "0.1"]) == 0
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_inspect_graph_huge_coverage_is_one_node(tmp_path, capsys, via):
+    # coverage ** 2 overflows a Python float above about 1.3e154
+    write_ply(tmp_path / "c.ply", PointCloud(np.random.default_rng(0).random((20, 3))))
+    args = ["inspect-graph", str(tmp_path / "c.ply")]
+    if via == "flag":
+        args += ["--coverage", "1e160"]
+    else:
+        args = ["--config", _write_json(tmp_path / "cfg.json", {"prune_coverage": 1e160})] + args
+    assert main(args) == 0
+    assert "nodes=1 coverage=1e+160 " in capsys.readouterr().out

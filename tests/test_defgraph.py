@@ -11,7 +11,7 @@ from defreg.defgraph import (
     member_weights,
     skinning_weights,
 )
-from defreg.errors import ValidationError
+from defreg.errors import NumericalError, ValidationError
 from defreg.geometry import PointCloud
 
 
@@ -235,6 +235,17 @@ def test_assign_points_is_chunk_invariant(monkeypatch):
     chunked = assign_points(points, nodes, 6, 0.5)
     np.testing.assert_array_equal(whole[0], chunked[0])
     np.testing.assert_array_equal(whole[1], chunked[1])
+
+
+def test_huge_coverage_builds_one_node_and_overflow_raises():
+    # a coverage whose square overflows covers everything with one node
+    graph = build_graph(_random_cloud(23, 20), 1e160, 6)
+    assert graph.num_nodes == 1
+    np.testing.assert_array_equal(graph.point_weights, 1.0)
+    # a point whose squared distance to that node overflows has no weights
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericalError, match="point 1's squared distance to its nearest node overflows"):
+        build_graph(np.array([[0.0, 0.0, 0.0], [1e200, 0.0, 0.0]]), 1e200, 6)
 
 
 def test_graph_dump_mentions_every_record():

@@ -14,7 +14,6 @@ from defreg.nicp import (
     SolveResult,
     SolverConfig,
     WarpField,
-    gauss_newton_step,
     jacobian,
     read_warp_field,
     residuals,
@@ -205,7 +204,7 @@ def test_block_normal_equations_equal_dense_products(assign_k):
     _, corr, graph, field = _bent_instance(3, assign_k)
     cfg = SolverConfig(lambda_corr=25.0, lambda_reg=0.7)
     problem = nicp._problem(graph, corr, cfg)
-    rotation, mixed, gradient = nicp._normal_equations(field, problem)
+    rotation, mixed, gradient = nicp._normal_equations(problem, nicp._evaluate(field, problem))
     v = graph.num_nodes
     # mixed orders its translation columns by component, jacobian by node
     mixed = mixed.reshape(3 * v, 3, v).transpose(0, 2, 1).reshape(3 * v, 3 * v)
@@ -239,7 +238,7 @@ def test_schur_step_equals_dense_damped_solve(assign_k):
     jac = jacobian(field, corr, graph.edges, cfg)
     r = residuals(field, corr, graph.edges, cfg)
     want = np.linalg.solve(jac.T @ jac + cfg.marquardt * np.eye(jac.shape[1]), -(jac.T @ r))
-    got = nicp._step_vector(field, problem)
+    got = nicp._step_vector(problem, nicp._evaluate(field, problem))
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
     np.testing.assert_array_equal(got[3 * graph.num_nodes - 3:3 * graph.num_nodes], 0.0)
 
@@ -313,7 +312,7 @@ def test_solver_never_builds_the_dense_jacobian(monkeypatch):
     src, corr, graph, _ = _bent_instance(6)
     result = solve(corr, src, SolverConfig(max_iterations=3))
     assert len(result.cost_trace) > 1
-    gauss_newton_step(WarpField.identity(graph), corr, SolverConfig())
+    solve(corr, src, SolverConfig(max_iterations=1), graph=graph)
 
 
 def test_solve_assigns_correspondences_once(monkeypatch):
@@ -331,6 +330,30 @@ def test_solve_assigns_correspondences_once(monkeypatch):
     assert calls == [len(corr)]
 
 
+@pytest.mark.parametrize("max_iterations,rejected", [(10, 0), (100, 1)])
+def test_solve_evaluates_each_visited_field_once(monkeypatch, max_iterations, rejected):
+    # tolerances of 1e-300 stop the loop only on max_iterations or, once
+    # rounding makes a step raise the cost, on a rejected candidate
+    costs = []
+    original = nicp._evaluate
+
+    def counting(*args):
+        at = original(*args)
+        costs.append(at.cost)
+        return at
+
+    src, corr, graph, _ = _bent_instance(7)
+    monkeypatch.setattr(nicp, "_evaluate", counting)
+    cfg = SolverConfig(max_iterations=max_iterations, cost_tolerance=1e-300,
+                       step_tolerance=1e-300)
+    trace = list(solve(corr, src, cfg, graph=graph).cost_trace)
+    if not rejected:
+        assert len(trace) == max_iterations + 1
+    assert len(costs) == len(trace) + rejected
+    assert costs[:len(trace)] == trace
+    assert all(cost > trace[-1] for cost in costs[len(trace):])
+
+
 # ------------------------------------------------------------ newton steps
 
 def test_step_at_exact_solution_keeps_field():
@@ -338,7 +361,8 @@ def test_step_at_exact_solution_keeps_field():
     graph = build_graph(cloud, 0.08, 4)
     field = WarpField.identity(graph)
     corr = CorrespondenceSet(cloud.points, cloud.points)
-    updated, cost = gauss_newton_step(field, corr, SolverConfig())
+    result = solve(corr, cloud, SolverConfig(max_iterations=1), graph=graph)
+    updated, cost = result.field, result.cost_trace[-1]
     np.testing.assert_allclose(updated.rotations, field.rotations, atol=1e-12)
     np.testing.assert_allclose(updated.translations, field.translations, atol=1e-12)
     assert cost == pytest.approx(0.0, abs=1e-20)
@@ -347,9 +371,9 @@ def test_step_at_exact_solution_keeps_field():
 def test_step_decreases_cost():
     corr, graph, _ = _micro_instance(5)
     field = WarpField.identity(graph)
-    cfg = SolverConfig()
+    cfg = SolverConfig(max_iterations=1)
     before = float((residuals(field, corr, graph.edges, cfg) ** 2).sum())
-    _, after = gauss_newton_step(field, corr, cfg)
+    after = solve(corr, PointCloud(corr.source), cfg, graph=graph).cost_trace[-1]
     assert after < before
 
 
@@ -359,8 +383,8 @@ def test_one_step_recovers_pure_translation():
     shift = np.array([0.05, -0.02, 0.03])
     corr = CorrespondenceSet(cloud.points, cloud.points + shift)
     field = WarpField.identity(graph)
-    cfg = SolverConfig(marquardt=1e-9)  # translation-only problems are linear
-    updated, _ = gauss_newton_step(field, corr, cfg)
+    cfg = SolverConfig(marquardt=1e-9, max_iterations=1)  # translation-only problems are linear
+    updated = solve(corr, cloud, cfg, graph=graph).field
     np.testing.assert_allclose(updated.translations, np.tile(shift, (graph.num_nodes, 1)), atol=1e-6)
     np.testing.assert_allclose(updated.rotations, field.rotations, atol=1e-6)
 
