@@ -20,7 +20,6 @@ from defreg.geometry import _as_points, furthest_point_sample
 __all__ = [
     "DeformationGraph",
     "build_graph",
-    "skinning_weights",
     "assign_points",
     "member_weights",
     "format_graph_dump",
@@ -63,7 +62,8 @@ class DeformationGraph:
             if self.point_to_nodes.min() < 0 or self.point_to_nodes.max() >= self.nodes.shape[0]:
                 raise ValidationError("assignment references a missing node")
             sums = self.point_weights.sum(axis=1)
-            if np.abs(sums - 1.0).max() > 1e-9 or self.point_weights.min() < 0:
+            # phrased so that a NaN weight fails both checks
+            if not (np.abs(sums - 1.0) <= 1e-9).all() or not (self.point_weights >= 0).all():
                 raise ValidationError("skinning weights must be nonnegative and sum to 1")
 
     @property
@@ -86,18 +86,6 @@ def _gauss_weights(d2: np.ndarray, bandwidth: float) -> np.ndarray:
     shifted = d2 - d2.min(axis=-1, keepdims=True)
     w = np.exp(-shifted / scale)
     return w / w.sum(axis=-1, keepdims=True)
-
-
-def skinning_weights(point, node_positions, bandwidth: float) -> np.ndarray:
-    """Gaussian skinning weights of one point over its assigned nodes."""
-    nodes = _as_points(node_positions)
-    if nodes.shape[0] < 1:
-        raise ValidationError("need at least one node")
-    if bandwidth <= 0:
-        raise ValidationError("bandwidth must be positive")
-    p = np.asarray(point, dtype=np.float64).reshape(3)
-    d2 = np.sum((nodes - p) ** 2, axis=1)
-    return _gauss_weights(d2[None, :], float(bandwidth))[0]
 
 
 # Point-node distances held at once by assign_points (8 MB of float64).

@@ -3,25 +3,29 @@
 Data flow for one correspondence set:
 
   encode_input      6D coordinates -> 18D low-frequency Fourier features
-  init MLP          three linear+groupnorm+leakyrelu layers up to width d
+  init stack        Linear, GroupNorm, LeakyRelu per init width, up to width d
   embedding blocks  per graph node: gather member rows, run the node's
                     consistency block through stacked attention units,
                     then add the node's output, weighted by its members'
                     skinning weights, into the block's blended features
                     (ascending node order, so the reduction is bitwise
                     deterministic and equal to aggregate's)
-  head              two linear+groupnorm+leakyrelu layers then a linear
-                    to one logit and a sigmoid score per correspondence
+  head stack        Linear, GroupNorm, LeakyRelu per hidden head width,
+                    then a Linear to one logit; the score is its sigmoid
 
 Attention logits are reweighted by elementwise multiplication with the
 node's consistency matrix before the row softmax. A zero consistency
 entry therefore contributes logit 0 (uniform weight), not -inf; this is
 reweighting, not masking.
 
-The same unit parameters process every node's block (weight sharing), so
-caches are returned per call instead of stored on layers. Only a forward
-that will be differentiated keeps them: run_forward(..., keep_tape=True)
-collects every cache into a tape that backward_through replays in reverse.
+The init and head stacks are plain lists of layers, and each block is a
+list of units; every one of them runs through the same two helpers,
+_forward and _backward. The same unit parameters process every node's
+block (weight sharing), so caches are returned per call instead of stored
+on layers. Only a forward that will be differentiated keeps them:
+run_forward(..., keep_tape=True) records every cache in a Tape, together
+with each node's members and skinning-weight column as the pass used
+them, so backward_through replays it in reverse without the graph.
 Without the tape each cache is dropped once the next layer has consumed
 its output, so an inference forward holds one node block's intermediates
 at a time instead of a tape that grows with every unit of every node.
@@ -181,8 +185,19 @@ class ScaUnit:
         return items
 
 
+def _mlp(fan_in: int, widths, config: ScNetConfig, rng: np.random.Generator) -> list:
+    """Linear, GroupNorm and LeakyRelu for each width, in order."""
+    layers = []
+    for width in widths:
+        layers += [Linear(fan_in, width, rng), GroupNorm(width, config.num_groups),
+                   LeakyRelu(config.leaky_slope)]
+        fan_in = width
+    return layers
+
+
 class ScNetModel:
-    """Parameter container; all layers in declaration order, plus the
+    """Parameter container: the init stack, the attention blocks and the
+    head stack, each a list of layers in declaration order, plus the
     learnable feature-consistency tolerance sigma_f used by training.
     Constructed parameters are float64; load_params installs float32 ones."""
 
@@ -191,35 +206,23 @@ class ScNetModel:
     def __init__(self, config: ScNetConfig):
         self.config = config
         rng = np.random.default_rng(config.seed)
-        self.act = LeakyRelu(config.leaky_slope)
-        self.init_layers = []
-        fan_in = self.ENCODED_WIDTH
-        for width in config.init_widths:
-            self.init_layers.append((Linear(fan_in, width, rng), GroupNorm(width, config.num_groups)))
-            fan_in = width
+        self.init = _mlp(self.ENCODED_WIDTH, config.init_widths, config, rng)
         self.blocks = [
             [ScaUnit(config.feature_dim, config.leaky_slope, rng) for _ in range(config.units_per_block)]
             for _ in range(config.num_blocks)
         ]
-        self.head_layers = []
-        fan_in = config.feature_dim
-        for width in config.head_widths[:-1]:
-            self.head_layers.append((Linear(fan_in, width, rng), GroupNorm(width, config.num_groups)))
-            fan_in = width
-        self.head_out = Linear(fan_in, 1, rng)
+        hidden = config.head_widths[:-1]
+        self.head = _mlp(config.feature_dim, hidden, config, rng)
+        self.head.append(Linear((config.feature_dim, *hidden)[-1], 1, rng))  # fan-in: last hidden width
         self.sigma_f = np.array(1.0)
         self.gsigma_f = np.zeros(())
 
     def _layers(self):
-        """(name prefix, layer) for every parameterized layer in declaration order."""
-        items = []
-        for i, (lin, gn) in enumerate(self.init_layers):
-            items += [(f"init.{i}.lin.", lin), (f"init.{i}.gn.", gn)]
+        """(name prefix, layer) for every layer in declaration order."""
+        items = [(f"init.{i}.", layer) for i, layer in enumerate(self.init)]
         for bi, block in enumerate(self.blocks):
             items += [(f"block.{bi}.unit.{ui}.", unit) for ui, unit in enumerate(block)]
-        for i, (lin, gn) in enumerate(self.head_layers):
-            items += [(f"head.{i}.lin.", lin), (f"head.{i}.gn.", gn)]
-        items.append(("head.out.", self.head_out))
+        items += [(f"head.{i}.", layer) for i, layer in enumerate(self.head)]
         return items
 
     def params(self):
@@ -231,7 +234,7 @@ class ScNetModel:
     @property
     def dtype(self) -> np.dtype:
         """The dtype run_forward computes in."""
-        return self.head_out.w.dtype
+        return self.head[-1].w.dtype
 
     def install_params(self, values) -> None:
         """Replace every parameter array, in params() order, by the given
@@ -293,19 +296,42 @@ def aggregate(node_features: dict, graph: DeformationGraph) -> np.ndarray:
     return out
 
 
+@dataclass(slots=True, eq=False)
+class Tape:
+    """What backward_through replays of one forward pass."""
+
+    init: list    # the init stack's layer caches
+    nodes: list   # (j, members, skinning-weight column) per non-empty node, ascending j
+    blocks: list  # per block, per entry of nodes: the units' caches
+    head: list    # the head stack's layer caches
+
+
+@dataclass(slots=True, eq=False)
 class ForwardState:
-    """Result of one forward pass: the encoded input, the pre-head features
-    and the scores. A taped pass also holds the layer caches that
-    backward_through consumes; a tape-free one leaves the cache lists empty
-    and logit_cache None."""
+    """Result of one forward pass: the encoded input, the pre-head features,
+    the scores, and the Tape of a pass run with keep_tape (else None)."""
 
-    __slots__ = ("encoded", "init_caches", "block_states", "features", "head_caches", "logit_cache", "scores")
+    encoded: np.ndarray
+    features: np.ndarray
+    scores: np.ndarray
+    tape: Tape | None
 
-    def __init__(self):
-        self.init_caches = []
-        self.block_states = []
-        self.head_caches = []
-        self.logit_cache = None
+
+def _forward(layers, x, caches, *args):
+    """Run x through layers in order, appending each layer's cache to
+    caches unless it is None; args go to every layer (a unit's theta)."""
+    for layer in layers:
+        x, cache = layer.forward(x, *args)
+        if caches is not None:
+            caches.append(cache)
+    return x
+
+
+def _backward(layers, caches, dy):
+    """dL/dx from dL/dy back through layers, accumulating their gradients."""
+    for layer, cache in zip(reversed(layers), reversed(caches)):
+        dy = layer.backward(cache, dy)
+    return dy
 
 
 def run_forward(model: ScNetModel, corr: CorrespondenceSet, graph: DeformationGraph,
@@ -314,7 +340,8 @@ def run_forward(model: ScNetModel, corr: CorrespondenceSet, graph: DeformationGr
     keep_tape every layer cache is kept for backward_through; without it the
     caches are dropped as the pass goes. Both run the same operations in the
     same order, so encoded, features and scores are bitwise the same either
-    way."""
+    way. Non-finite logits (a float32 pass overflows on coordinates above
+    about 3e38) raise NumericalError."""
     if graph.num_points != len(corr):
         raise ValidationError("graph was not built over these correspondences")
     dtype = model.dtype
@@ -325,78 +352,48 @@ def run_forward(model: ScNetModel, corr: CorrespondenceSet, graph: DeformationGr
         if j not in theta.blocks:
             raise ValidationError(f"consistency blocks missing node {j}")
         nodes.append((j, members, member_weights(graph, j).astype(dtype, copy=False)[:, None]))
-    state = ForwardState()
-    state.encoded = encode_input(corr).astype(dtype, copy=False)
-    feats = state.encoded
-    for lin, gn in model.init_layers:
-        y, c_lin = lin.forward(feats)
-        y, c_gn = gn.forward(y)
-        feats, c_act = model.act.forward(y)
-        if keep_tape:
-            state.init_caches.append((c_lin, c_gn, c_act))
-
+    tape = Tape(init=[], nodes=nodes, blocks=[], head=[]) if keep_tape else None
+    encoded = encode_input(corr).astype(dtype, copy=False)
+    feats = _forward(model.init, encoded, tape.init if keep_tape else None)
     for block in model.blocks:
-        node_records = []
+        if keep_tape:
+            tape.blocks.append([])
         blended = np.zeros_like(feats)
         for j, members, alpha in nodes:
-            node_theta = theta.blocks[j].astype(dtype, copy=False)
-            z = feats[members]
-            unit_caches = []
-            for unit in block:
-                z, cache = unit.forward(z, node_theta)
-                if keep_tape:
-                    unit_caches.append(cache)
-            node_records.append((j, members, unit_caches))
+            unit_caches = [] if keep_tape else None
+            z = _forward(block, feats[members], unit_caches, theta.blocks[j].astype(dtype, copy=False))
+            if keep_tape:
+                tape.blocks[-1].append(unit_caches)
             blended[members] += alpha * z
-        if keep_tape:
-            state.block_states.append(node_records)
         feats = blended
-    state.features = feats
-
-    for lin, gn in model.head_layers:
-        y, c_lin = lin.forward(feats)
-        y, c_gn = gn.forward(y)
-        feats, c_act = model.act.forward(y)
-        if keep_tape:
-            state.head_caches.append((c_lin, c_gn, c_act))
-    logits, logit_cache = model.head_out.forward(feats)
-    if keep_tape:
-        state.logit_cache = logit_cache
-    state.scores = sigmoid(logits[:, 0].astype(np.float64, copy=False))
-    return state
+    logits = _forward(model.head, feats, tape.head if keep_tape else None)
+    logits = logits[:, 0].astype(np.float64, copy=False)
+    if not np.isfinite(logits).all():
+        raise NumericalError(f"scoring: non-finite logit for correspondence "
+                             f"{int(np.argmin(np.isfinite(logits)))} (the network computes in "
+                             f"{dtype}, and coordinates beyond its range overflow)")
+    return ForwardState(encoded, feats, sigmoid(logits), tape)
 
 
-def backward_through(model: ScNetModel, graph: DeformationGraph, state: ForwardState,
-                     d_scores: np.ndarray, d_features: np.ndarray | None = None) -> None:
+def backward_through(model: ScNetModel, state: ForwardState, d_scores: np.ndarray,
+                     d_features: np.ndarray | None = None) -> None:
     """Accumulate parameter gradients for dL/dscores and (optionally) a
     direct dL/dfeatures term on the pre-head feature matrix. The state
-    must come from run_forward(..., keep_tape=True)."""
-    if state.logit_cache is None:
+    must come from run_forward(..., keep_tape=True); its tape holds every
+    node's members and skinning weights, so no graph is passed."""
+    tape = state.tape
+    if tape is None:
         raise ValidationError("forward state holds no tape; run_forward(..., keep_tape=True)")
     s = state.scores
-    dlogits = (d_scores * s * (1.0 - s))[:, None]
-    dfeats = model.head_out.backward(state.logit_cache, dlogits)
-    for (lin, gn), (c_lin, c_gn, c_act) in zip(reversed(model.head_layers), reversed(state.head_caches)):
-        dfeats = model.act.backward(c_act, dfeats)
-        dfeats = gn.backward(c_gn, dfeats)
-        dfeats = lin.backward(c_lin, dfeats)
+    dfeats = _backward(model.head, tape.head, (d_scores * s * (1.0 - s))[:, None])
     if d_features is not None:
         dfeats = dfeats + d_features
-
-    for block, node_records in zip(reversed(model.blocks), reversed(state.block_states)):
+    for block, node_caches in zip(reversed(model.blocks), reversed(tape.blocks)):
         dprev = np.zeros_like(dfeats)
-        for j, members, unit_caches in node_records:  # ascending j: fixed reduction order
-            alpha = member_weights(graph, j)
-            dz = alpha[:, None] * dfeats[members]
-            for unit, cache in zip(reversed(block), reversed(unit_caches)):
-                dz = unit.backward(cache, dz)
-            dprev[members] += dz
+        for (_, members, alpha), unit_caches in zip(tape.nodes, node_caches):  # ascending j
+            dprev[members] += _backward(block, unit_caches, alpha * dfeats[members])
         dfeats = dprev
-
-    for (lin, gn), (c_lin, c_gn, c_act) in zip(reversed(model.init_layers), reversed(state.init_caches)):
-        dfeats = model.act.backward(c_act, dfeats)
-        dfeats = gn.backward(c_gn, dfeats)
-        dfeats = lin.backward(c_lin, dfeats)
+    _backward(model.init, tape.init, dfeats)
 
     for name, _, grad in model.params():
         if not np.isfinite(grad).all():

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from numbers import Real
 
 import numpy as np
@@ -78,18 +78,6 @@ class SceneSpec:
         object.__setattr__(self, "warp_magnitude", tuple(float(m) for m in mag))
         if self.inlier_ratio > 1.0:
             raise ValidationError("inlier_ratio must be in [0, 1]")
-
-    def to_dict(self) -> dict:
-        return {
-            "point_count": self.point_count,
-            "surface": self.surface,
-            "warp_kind": self.warp_kind,
-            "warp_magnitude": list(self.warp_magnitude),
-            "inlier_ratio": self.inlier_ratio,
-            "inlier_noise_std": self.inlier_noise_std,
-            "outlier_mode": self.outlier_mode,
-            "seed": self.seed,
-        }
 
 
 def _plane_grid(count: int) -> np.ndarray:
@@ -156,8 +144,6 @@ def _global_rigid(nodes, rng, rot_mag, trans_mag):
 def _smooth_graph(nodes, rng, rot_mag, trans_mag):
     """Low-frequency sinusoidal per-node axis-angle and translation
     fields; |omega_j| <= rot_mag and |t_j| <= trans_mag by construction."""
-    count = nodes.shape[0]
-    rotations = np.zeros((count, 3, 3))
     fields = []
     for amp in (rot_mag, trans_mag):
         dirs = np.stack([_random_unit(rng) for _ in range(3)])
@@ -165,9 +151,7 @@ def _smooth_graph(nodes, rng, rot_mag, trans_mag):
         phase_arg = 2.0 * np.pi * (nodes @ dirs.T) / _FIELD_WAVELENGTH + phases
         fields.append(amp / np.sqrt(3.0) * np.sin(phase_arg))
     omegas, translations = fields
-    for j in range(count):
-        rotations[j] = exp_so3(omegas[j])
-    return rotations, translations
+    return exp_so3(omegas), translations
 
 
 def _articulated(nodes, rng, rot_mag, trans_mag):
@@ -260,5 +244,5 @@ def write_scene_bundle(out_dir, spec: SceneSpec, source: PointCloud, target: Poi
     write_corr_csv(os.path.join(out_dir, "corr.csv"), corr)
     write_warp_field(os.path.join(out_dir, "warp.txt"), gt_warp)
     with open(os.path.join(out_dir, "spec.json"), "w", encoding="ascii") as fh:
-        json.dump(spec.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(spec), fh, indent=2, sort_keys=True)
         fh.write("\n")

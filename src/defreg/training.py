@@ -148,7 +148,7 @@ def _consistency_terms(features, graph, labels, sigma_f, want_grad):
             w = np.sign(gap) * (raw > 0.0) * scale
             coef = -w / (sig * sig)  # dL/d(d2), symmetric
             dblock = 4.0 * (coef.sum(axis=1)[:, None] * block - coef @ block)
-            np.add.at(dhhat, members, dblock)
+            dhhat[members] += dblock  # a member list never repeats a point
             dsigma += (w * d2).sum() * 2.0 / (sig ** 3)
     if not want_grad:
         return total, None, None
@@ -187,16 +187,16 @@ def backward(model: ScNetModel, batch: TrainScene, gamma: float = 2.0, loss_lamb
         state.features, batch.graph, batch.labels, model.sigma_f, want_grad=True
     )
     model.gsigma_f += loss_lambda * dsigma
-    backward_through(model, batch.graph, state, dscores, loss_lambda * dfeatures)
+    backward_through(model, state, dscores, loss_lambda * dfeatures)
     return cls + loss_lambda * con, cls, con
 
 
-def prepare_scene(corr: CorrespondenceSet, sigma_n: float, assign_k: int, sigma_d: float,
-                  start_index: int = 0) -> TrainScene:
+def prepare_scene(corr: CorrespondenceSet, sigma_n: float, assign_k: int,
+                  sigma_d: float) -> TrainScene:
     """Build the pruning graph and consistency blocks for a labeled set."""
     if corr.labels is None:
         raise ValidationError("correspondence set has no labels")
-    graph = build_graph(corr.source, sigma_n, assign_k, start_index)
+    graph = build_graph(corr.source, sigma_n, assign_k)
     theta = local_consistency(corr, graph, sigma_d)
     return TrainScene(corr=corr, graph=graph, theta=theta, labels=corr.labels)
 

@@ -238,6 +238,24 @@ def test_prune_overflowing_consistency_exits_3(tmp_path, capsys):
     assert not (tmp_path / "p.csv").exists()
 
 
+def test_prune_float32_overflow_exits_3(tmp_path, capsys):
+    # a loaded model scores in float32, whose range ends near 3.4e38: the
+    # encoded coordinates overflow to inf and the logits come out NaN
+    scale = 1e39
+    model_path = tmp_path / "model.bin"
+    save_params(model_path, ScNetModel(scnet_config(PipelineConfig(**SMALL_CONFIG))))
+    config = _write_json(tmp_path / "cfg.json", dict(
+        SMALL_CONFIG, prune_coverage=0.08 * scale, consistency_sigma=0.08 * scale))
+    source = scale * np.random.default_rng(0).random((40, 3))
+    write_corr_csv(tmp_path / "corr.csv", CorrespondenceSet(source, source))
+    with np.errstate(all="ignore"):
+        code = main(["--config", config, "prune", "--corr", str(tmp_path / "corr.csv"),
+                     "--model", str(model_path), "--out", str(tmp_path / "p.csv")])
+    assert code == 3
+    assert "scoring: non-finite logit" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_prune_rejects_mismatched_model(tmp_path, mini_dataset, config_path, capsys):
     other = ScNetModel(ScNetConfig(feature_dim=8, init_widths=(8, 8, 8),
                                    head_widths=(8, 4, 1), num_blocks=1,

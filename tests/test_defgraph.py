@@ -5,11 +5,11 @@ import pytest
 
 from defreg import defgraph
 from defreg.defgraph import (
+    DeformationGraph,
     assign_points,
     build_graph,
     format_graph_dump,
     member_weights,
-    skinning_weights,
 )
 from defreg.errors import NumericalError, ValidationError
 from defreg.geometry import PointCloud
@@ -69,13 +69,24 @@ def test_edges_match_brute_force_co_assignment():
     assert as_list == sorted(as_list)
 
 
+def _skin(point, nodes, bandwidth):
+    """One point's skinning weights over every node, by node index, from
+    assign_points (which returns them in ascending-distance order)."""
+    nodes = np.asarray(nodes, dtype=np.float64)
+    order, weights = assign_points(np.asarray(point, dtype=np.float64)[None], nodes,
+                                   nodes.shape[0], bandwidth)
+    by_node = np.empty(nodes.shape[0])
+    by_node[order[0]] = weights[0]
+    return by_node
+
+
 def test_skinning_single_node_weight_one():
-    np.testing.assert_array_equal(skinning_weights(np.zeros(3), np.array([[1.0, 0, 0]]), 0.08), [1.0])
+    np.testing.assert_array_equal(_skin(np.zeros(3), np.array([[1.0, 0, 0]]), 0.08), [1.0])
 
 
 def test_skinning_equidistant_nodes_split_evenly():
     nodes = np.array([[1.0, 0, 0], [-1.0, 0, 0]])
-    np.testing.assert_allclose(skinning_weights(np.zeros(3), nodes, 0.3), [0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(_skin(np.zeros(3), nodes, 0.3), [0.5, 0.5], atol=1e-12)
 
 
 def test_skinning_worked_example():
@@ -84,7 +95,7 @@ def test_skinning_worked_example():
     bw = 0.08
     nodes = np.array([[0.0, 0, 0], [bw, 0, 0]])
     expect_hi = 1.0 / (1.0 + np.exp(-0.5))
-    got = skinning_weights(np.zeros(3), nodes, bw)
+    got = _skin(np.zeros(3), nodes, bw)
     np.testing.assert_allclose(got, [expect_hi, 1.0 - expect_hi], atol=1e-12)
     assert abs(got[0] - 0.6225) < 1e-4
 
@@ -92,7 +103,7 @@ def test_skinning_worked_example():
 def test_skinning_far_point_is_stable():
     # far from every node: raw exponents underflow, the shifted form must not
     nodes = np.array([[0.0, 0, 0], [0.01, 0, 0]])
-    w = skinning_weights(np.array([100.0, 0, 0]), nodes, 0.08)
+    w = _skin(np.array([100.0, 0, 0]), nodes, 0.08)
     assert np.isfinite(w).all()
     assert abs(w.sum() - 1.0) < 1e-12
     assert w[1] > w[0]  # the node at x=0.01 is nearer
@@ -102,7 +113,7 @@ def test_bandwidth_rescale_keeps_argmax():
     rng = np.random.default_rng(4)
     nodes = rng.uniform(size=(6, 3))
     point = rng.uniform(size=3)
-    winners = {int(np.argmax(skinning_weights(point, nodes, bw))) for bw in (0.02, 0.08, 0.5, 3.0)}
+    winners = {int(np.argmax(_skin(point, nodes, bw))) for bw in (0.02, 0.08, 0.5, 3.0)}
     assert len(winners) == 1
 
 
@@ -174,6 +185,21 @@ def test_build_rejects_bad_parameters():
         build_graph(cloud, 0.0, 6)
     with pytest.raises(ValidationError):
         build_graph(cloud, 0.1, 0)
+
+
+def _two_node_graph(weights):
+    """A hand-built graph: one point assigned to two nodes with the given weights."""
+    return DeformationGraph(
+        nodes=np.array([[0.0, 0, 0], [1.0, 0, 0]]), coverage=0.5, assign_k=2,
+        point_to_nodes=np.array([[0, 1]]), point_weights=np.array([weights]),
+        node_to_members=(np.array([0]), np.array([0])), edges=np.array([[0, 1]]),
+        node_indices=np.array([0, 1]))
+
+
+@pytest.mark.parametrize("weights", [[1.0, np.nan], [np.nan, np.nan], [1.25, -0.25], [0.5, 0.6]])
+def test_graph_rejects_bad_skinning_weights(weights):
+    with pytest.raises(ValidationError, match="skinning weights"):
+        _two_node_graph(weights)
 
 
 def test_assign_points_matches_graph_assignment():

@@ -5,11 +5,16 @@ collinear source points, a single correspondence, or an all-outlier set
 (targets unrelated to their sources), at a coordinate scale between 1e-6
 and 1e200. It then runs the chain `prune` runs: the pruning graph, the
 consistency blocks and the micro model's forward pass, with the coverage
-and sigma_d in proportion to the scale. The scores must be finite and in
-[0, 1], or the chain must raise ValidationError (exit 2) or NumericalError
-(exit 3); any other exception would reach the user as a traceback with
-exit 1, and a NaN score as a complaint about the scores file.
+and sigma_d in proportion to the scale. The forward pass runs twice: on the
+constructed (float64) model and on the same model loaded from a parameter
+file, which scores in float32 and overflows far sooner. The scores must be
+finite and in [0, 1], or the step must raise ValidationError (exit 2) or
+NumericalError (exit 3); any other exception would reach the user as a
+traceback with exit 1, and a NaN score as a complaint about the scores file.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -20,11 +25,25 @@ from defreg.defgraph import build_graph
 from defreg.errors import NumericalError, ValidationError
 from defreg.geometry import exp_so3
 from defreg.scnet.model import ScNetConfig, ScNetModel, run_forward
+from defreg.scnet.params_io import load_params, save_params
 
 CASES = ("duplicate", "collinear", "single-point", "all-outlier")
 
 MODEL = ScNetModel(ScNetConfig(feature_dim=8, init_widths=(8, 8, 8), head_widths=(8, 4, 1),
                                num_blocks=1, units_per_block=1, num_groups=2))
+
+
+def _loaded(model):
+    """The same architecture with model's parameters read back from a file (float32)."""
+    loaded = ScNetModel(model.config)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "micro.params"
+        save_params(path, model)
+        load_params(path, loaded)
+    return loaded
+
+
+MODELS = (MODEL, _loaded(MODEL))
 
 
 def _correspondences(case, count, rng):
@@ -49,13 +68,17 @@ def test_prune_chain_on_degenerate_geometry(case, count, exponent, seed):
     rng = np.random.default_rng(seed)
     scale = 10.0 ** exponent
     source, target = _correspondences(case, count, rng)
-    try:
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        try:
             corr = CorrespondenceSet(scale * source, scale * target)
             graph = build_graph(corr.source, 0.3 * scale, 6)
             theta = local_consistency(corr, graph, 0.08 * scale)
-            scores = run_forward(MODEL, corr, graph, theta).scores
-    except (ValidationError, NumericalError):
-        return
-    assert scores.shape == (len(corr),)
-    assert np.isfinite(scores).all() and scores.min() >= 0.0 and scores.max() <= 1.0
+        except (ValidationError, NumericalError):
+            return
+        for model in MODELS:
+            try:
+                scores = run_forward(model, corr, graph, theta).scores
+            except (ValidationError, NumericalError):
+                continue
+            assert scores.shape == (len(corr),)
+            assert np.isfinite(scores).all() and scores.min() >= 0.0 and scores.max() <= 1.0

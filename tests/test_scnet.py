@@ -348,7 +348,8 @@ def test_forward_composition_oracle():
     got = run_forward(model, corr, graph, theta).scores
 
     feats = encode_input(corr)
-    for lin, gn in model.init_layers:
+    slope = model.config.leaky_slope
+    for lin, gn in zip(model.init[0::3], model.init[1::3]):
         y = feats @ lin.w + lin.b
         n, c = y.shape
         g = gn.groups
@@ -356,7 +357,7 @@ def test_forward_composition_oracle():
         mu = yg.mean(axis=2, keepdims=True)
         var = ((yg - mu) ** 2).mean(axis=2, keepdims=True)
         y = ((yg - mu) / np.sqrt(var + gn.eps)).reshape(n, c) * gn.gamma + gn.beta
-        feats = np.where(y > 0, y, model.act.slope * y)
+        feats = np.where(y > 0, y, slope * y)
     for block in model.blocks:
         node_out = {}
         for j, members in enumerate(graph.node_to_members):
@@ -364,10 +365,10 @@ def test_forward_composition_oracle():
                 continue
             z = feats[members]
             for unit in block:
-                z = _unit_oracle(unit, z, theta.blocks[j], model.act.slope)
+                z = _unit_oracle(unit, z, theta.blocks[j], slope)
             node_out[j] = z
         feats = aggregate(node_out, graph)
-    for lin, gn in model.head_layers:
+    for lin, gn in zip(model.head[0:-1:3], model.head[1:-1:3]):
         y = feats @ lin.w + lin.b
         n, c = y.shape
         g = gn.groups
@@ -375,8 +376,8 @@ def test_forward_composition_oracle():
         mu = yg.mean(axis=2, keepdims=True)
         var = ((yg - mu) ** 2).mean(axis=2, keepdims=True)
         y = ((yg - mu) / np.sqrt(var + gn.eps)).reshape(n, c) * gn.gamma + gn.beta
-        feats = np.where(y > 0, y, model.act.slope * y)
-    logits = (feats @ model.head_out.w + model.head_out.b)[:, 0]
+        feats = np.where(y > 0, y, slope * y)
+    logits = (feats @ model.head[-1].w + model.head[-1].b)[:, 0]
     expect = 1.0 / (1.0 + np.exp(-logits))
     np.testing.assert_allclose(got, expect, atol=1e-10)
 
@@ -437,8 +438,7 @@ def test_tape_free_forward_matches_taped_bitwise(size):
     taped = run_forward(model, corr, graph, theta, keep_tape=True)
     for name in ("encoded", "features", "scores"):
         assert getattr(free, name).tobytes() == getattr(taped, name).tobytes()
-    assert not (free.init_caches or free.block_states or free.head_caches)
-    assert free.logit_cache is None
+    assert free.tape is None
 
 
 @pytest.mark.parametrize("kind", ["constructed", "loaded"])
@@ -449,8 +449,8 @@ def test_run_forward_blends_like_aggregate_bitwise(kind, tmp_path):
     corr, graph, theta = _scene(21, 40, assign_k=3)
     dtype = model.dtype
     feats = encode_input(corr).astype(dtype)
-    for lin, gn in model.init_layers:
-        feats = model.act.forward(gn.forward(lin.forward(feats)[0])[0])[0]
+    for layer in model.init:
+        feats = layer.forward(feats)[0]
     for block in model.blocks:
         node_out = {}
         for j, members in enumerate(graph.node_to_members):
@@ -479,12 +479,23 @@ def test_tape_free_forward_memory_is_bounded():
     assert peaks[False] < peaks[True] / 10
 
 
+def test_head_without_hidden_layer_builds_and_scores():
+    corr, graph, theta = _scene(13, 12)
+    model = _micro_model(head_widths=(1,))
+    head_names = [name for name, _, _ in model.params() if name.startswith("head.")]
+    assert head_names == ["head.0.w", "head.0.b"]
+    assert model.head[0].w.shape == (8, 1)
+    scores = run_forward(model, corr, graph, theta).scores
+    assert scores.shape == (12,)
+    assert (scores > 0).all() and (scores < 1).all()
+
+
 def test_backward_through_requires_tape():
     corr, graph, theta = _scene(20, 10)
     model = _micro_model()
     state = run_forward(model, corr, graph, theta)
     with pytest.raises(ValidationError, match="holds no tape"):
-        backward_through(model, graph, state, np.ones(len(corr)))
+        backward_through(model, state, np.ones(len(corr)))
     assert not model.grad_vector().any()
 
 

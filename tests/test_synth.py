@@ -1,6 +1,7 @@
 """Synthetic scene generation: surfaces, warps, corruption, bundles."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -179,12 +180,12 @@ def test_scalar_magnitude_expands_to_pair():
 def test_spec_dict_round_trip(tmp_path):
     spec = _spec(seed=12, warp_magnitude=(0.15, 0.02))
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec.to_dict()))
+    path.write_text(json.dumps(asdict(spec)))
     assert read_document(SceneSpec, path, "scene") == spec
 
 
 def test_spec_rejects_unknown_key(tmp_path):
-    data = _spec().to_dict()
+    data = asdict(_spec())
     data["wobble"] = 3
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))
