@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 
@@ -19,8 +20,8 @@ from defreg.config import (PipelineConfig, load_config, scnet_config, solver_con
                            train_config, with_seed)
 from defreg.consistency import local_consistency, read_corr_csv, write_corr_csv
 from defreg.defgraph import build_graph, format_graph_dump
-from defreg.errors import (FileFormatError, NumericalError, ValidationError, parse_rows,
-                           read_document, read_lines)
+from defreg.errors import (FileFormatError, NumericalError, ValidationError, format_row,
+                           parse_rows, read_document, read_lines, write_lines)
 from defreg.evalmetrics import (classification_metrics, format_metrics_table,
                                 metrics_from_errors, registration_errors, write_metrics_csv)
 from defreg.geometry import PointCloud
@@ -32,6 +33,7 @@ from defreg.synth import SceneSpec, generate_scene, write_scene_bundle
 from defreg.training import gradient_check, prepare_scene, train, write_loss_log
 
 GRADCHECK_THRESHOLD = 1e-4
+TRACE_HEADER = "iteration,cost"
 
 __all__ = ["main"]
 
@@ -175,10 +177,7 @@ def _cmd_prune(args, config: PipelineConfig) -> int:
     kept = replace(kept, scores=state.scores[keep])
     write_corr_csv(args.out, kept)
     scores_path = args.scores or os.path.join(os.path.dirname(args.out) or ".", "scores.csv")
-    with open(scores_path, "w", encoding="ascii") as fh:
-        fh.write("index,score\n")
-        for i, s in enumerate(state.scores):
-            fh.write(f"{i},{float(s)!r}\n")
+    write_lines(scores_path, chain(["index,score"], map(format_row, enumerate(state.scores))))
     print(f"kept {keep.size} of {len(corr)} correspondences "
           f"(threshold {config.score_threshold!r})")
     if corr.labels is not None:
@@ -197,10 +196,7 @@ def _cmd_register(args, config: PipelineConfig) -> int:
     warped_path = args.warped or os.path.join(out_dir, "warped.ply")
     write_ply(warped_path, PointCloud(result.field.warp(source.points)))
     trace_path = args.trace or os.path.join(out_dir, "cost-trace.csv")
-    with open(trace_path, "w", encoding="ascii") as fh:
-        fh.write("iteration,cost\n")
-        for i, cost in enumerate(result.cost_trace):
-            fh.write(f"{i},{float(cost)!r}\n")
+    write_lines(trace_path, [TRACE_HEADER, *map(format_row, enumerate(result.cost_trace))])
     print(f"registered {len(corr)} correspondences over "
           f"{result.field.graph.num_nodes} nodes in {len(result.cost_trace) - 1} accepted "
           f"steps, final cost {float(result.cost_trace[-1])!r}")
@@ -214,7 +210,7 @@ def _cmd_register(args, config: PipelineConfig) -> int:
 
 def _check_trace(path) -> int:
     lines = read_lines(path)
-    if not lines or lines[0] != "iteration,cost":
+    if not lines or lines[0] != TRACE_HEADER:
         raise FileFormatError(f"{path} is not a cost trace")
     rows = ((n, line.split(",")) for n, line in enumerate(lines[1:], start=2))
     costs = parse_rows(rows, 2, path, columns=(1,))[:, 0]
@@ -314,8 +310,7 @@ def _write_svg_histogram(path, values: np.ndarray, title: str, bins: int = 20) -
     parts.append(f'<text x="{left - 8}" y="{axis_y}" text-anchor="end" '
                  f'font-family="monospace" font-size="11">0</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_lines(path, parts)
 
 
 if __name__ == "__main__":

@@ -13,10 +13,9 @@ too, so typos cannot silently fall back to defaults.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, fields, make_dataclass, replace
 
-from defreg.errors import ValidationError, check_fields, positive, read_document
+from defreg.errors import ValidationError, check_fields, positive, read_document, write_document
 from defreg.nicp import SolverConfig
 from defreg.scnet.model import ScNetConfig
 from defreg.training import TrainConfig
@@ -95,9 +94,7 @@ def load_config(path) -> PipelineConfig:
 
 
 def save_config(path, config: PipelineConfig) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(asdict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_document(path, asdict(config))
 
 
 def with_seed(config: PipelineConfig, seed: int) -> PipelineConfig:

@@ -10,11 +10,13 @@ share no node carry no information and are simply absent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from defreg.defgraph import DeformationGraph
-from defreg.errors import FileFormatError, NumericalError, ValidationError, parse_rows, read_lines
+from defreg.errors import (FileFormatError, NumericalError, ValidationError, format_row, parse_rows,
+                           read_lines, write_lines)
 
 __all__ = [
     "CorrespondenceSet",
@@ -83,11 +85,9 @@ class LocalConsistency:
 
     blocks  dict node index -> (|C_j|, |C_j|) matrix in [0, 1]; only
             nodes with a nonempty member set appear
-    sigma_d distance tolerance in meters
     """
 
     blocks: dict
-    sigma_d: float
 
 
 def pairwise_consistency(c_i, c_j, sigma_d: float) -> float:
@@ -144,26 +144,15 @@ def local_consistency(corr: CorrespondenceSet, graph: DeformationGraph, sigma_d:
         if np.isnan(block).any():
             raise NumericalError(f"local consistency: node {j}'s pairwise distances overflow")
         blocks[j] = block
-    return LocalConsistency(blocks=blocks, sigma_d=float(sigma_d))
+    return LocalConsistency(blocks=blocks)
 
 
 def write_corr_csv(path, corr: CorrespondenceSet) -> None:
     """CSV with six coordinate columns, then label and score if present."""
-    columns = list(CORR_BASE_COLUMNS)
-    if corr.labels is not None:
-        columns.append("label")
-    if corr.scores is not None:
-        columns.append("score")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(columns) + "\n")
-        for i in range(len(corr)):
-            fields = [repr(float(v)) for v in corr.source[i]]
-            fields += [repr(float(v)) for v in corr.target[i]]
-            if corr.labels is not None:
-                fields.append(str(int(corr.labels[i])))
-            if corr.scores is not None:
-                fields.append(repr(float(corr.scores[i])))
-            fh.write(",".join(fields) + "\n")
+    extras = {k: v for k, v in (("label", corr.labels), ("score", corr.scores)) if v is not None}
+    rows = (format_row((*src.tolist(), *tgt.tolist(), *rest))
+            for src, tgt, *rest in zip(corr.source, corr.target, *extras.values()))
+    write_lines(path, chain([format_row(CORR_BASE_COLUMNS + tuple(extras))], rows))
 
 
 def read_corr_csv(path) -> CorrespondenceSet:

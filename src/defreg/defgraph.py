@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from defreg.errors import NumericalError, ValidationError
+from defreg.errors import NumericalError, ValidationError, format_row
 from defreg.geometry import _as_points, furthest_point_sample
 
 __all__ = [
@@ -37,7 +37,6 @@ class DeformationGraph:
     point_weights   (N, k') skinning weights aligned with point_to_nodes
     node_to_members (V,) tuple of int arrays: point indices per node (C_j)
     edges           (E, 2) unordered node pairs (u < v) sharing a point
-    node_indices    (V,) indices of the nodes in the build cloud
     """
 
     nodes: np.ndarray
@@ -47,7 +46,6 @@ class DeformationGraph:
     point_weights: np.ndarray
     node_to_members: tuple
     edges: np.ndarray
-    node_indices: np.ndarray
 
     def __post_init__(self):
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 3:
@@ -141,7 +139,7 @@ def _nearest_nodes(pts: np.ndarray, nodes: np.ndarray, kk: int):
     return order, np.take_along_axis(d2, order, axis=1)
 
 
-def build_graph(cloud, coverage: float, assign_k: int, start_index: int = 0) -> DeformationGraph:
+def build_graph(cloud, coverage: float, assign_k: int) -> DeformationGraph:
     """Sample nodes by FPS and assign every point of the cloud to them.
 
     Nodes are actual points of the cloud, so each node is a member of
@@ -149,12 +147,9 @@ def build_graph(cloud, coverage: float, assign_k: int, start_index: int = 0) -> 
     two nodes whenever some point is assigned to both.
     """
     pts = _as_points(cloud)
-    if pts.shape[0] < 1:
-        raise ValidationError("empty cloud")
     if assign_k < 1:
         raise ValidationError("assign_k must be >= 1")
-    node_idx = furthest_point_sample(pts, coverage, start_index)
-    nodes = pts[node_idx].copy()
+    nodes = pts[furthest_point_sample(pts, coverage)]
     order, weights = assign_points(pts, nodes, assign_k, coverage)
 
     n, kk = order.shape
@@ -176,7 +171,6 @@ def build_graph(cloud, coverage: float, assign_k: int, start_index: int = 0) -> 
         point_weights=weights,
         node_to_members=members,
         edges=edges.astype(np.int64),
-        node_indices=node_idx,
     )
 
 
@@ -204,17 +198,12 @@ def member_weights(graph: DeformationGraph, j: int) -> np.ndarray:
 def format_graph_dump(graph: DeformationGraph) -> str:
     """One-record-per-line text dump for inspection."""
     lines = [
-        f"# deformation-graph nodes={graph.num_nodes} coverage={float(graph.coverage)!r} "
+        f"# deformation-graph nodes={graph.num_nodes} coverage={format_row([float(graph.coverage)])} "
         f"assign_k={graph.assign_k} points={graph.num_points} edges={graph.edges.shape[0]}"
     ]
-    for j, pos in enumerate(graph.nodes):
-        lines.append(f"node {j} {float(pos[0])!r} {float(pos[1])!r} {float(pos[2])!r}")
+    lines += (format_row(("node", j, *pos), " ") for j, pos in enumerate(graph.nodes))
     for i in range(graph.num_points):
-        parts = " ".join(
-            f"{int(jj)}:{float(ww)!r}"
-            for jj, ww in zip(graph.point_to_nodes[i], graph.point_weights[i])
-        )
-        lines.append(f"assign {i} {parts}")
-    for u, v in graph.edges:
-        lines.append(f"edge {int(u)} {int(v)}")
+        pairs = (format_row(p, ":") for p in zip(graph.point_to_nodes[i], graph.point_weights[i]))
+        lines.append(format_row(("assign", i, *pairs), " "))
+    lines += (format_row(("edge", *edge), " ") for edge in graph.edges)
     return "\n".join(lines) + "\n"

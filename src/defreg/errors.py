@@ -1,5 +1,5 @@
 """Exception types shared across the package, the config field checker,
-and the helpers every defreg file reader is built on.
+and the helpers every defreg file reader and writer is built on.
 
 The CLI maps these onto exit codes (validation 2, numerical 3, file I/O 4),
 so raising the right class matters more than the message text.
@@ -10,6 +10,11 @@ through `read_document`. A malformed file therefore always raises
 `FileFormatError` (exit 4), with a message that starts with the file's
 path and, where the problem sits on one line, its line number:
 `path:line: problem`.
+
+Every text file defreg writes goes through `write_lines`, every row
+through `format_row` (a float as its repr, which `parse_rows` reads back
+bit for bit) and every JSON document through `write_document`, so reruns
+on the same inputs write the same bytes.
 """
 
 import json
@@ -128,3 +133,30 @@ def read_document(cls, path, kind: str):
     if unknown:
         raise ValidationError(f"{path}: unknown {kind} key: {unknown[0]}")
     return cls(**data)
+
+
+def _field(value) -> str:
+    if isinstance(value, str):
+        return value
+    # a float (np.float64 is one) skips the slower Integral check
+    if not isinstance(value, float) and isinstance(value, Integral):
+        return str(int(value))
+    return repr(float(value))
+
+
+def format_row(values, sep: str = ",") -> str:
+    """One line of fields: a float as repr(float(v)), which parse_rows reads
+    back bit for bit, an int as its digits and a string unchanged."""
+    return sep.join(map(_field, values))
+
+
+def write_lines(path, lines) -> None:
+    """Write an ASCII text file, a newline after each line. lines may be a
+    generator; it is consumed one line at a time, so rows stream."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
+def write_document(path, data) -> None:
+    """Write data as JSON: sorted keys, a 2-space indent, a trailing newline."""
+    write_lines(path, [json.dumps(data, indent=2, sort_keys=True)])

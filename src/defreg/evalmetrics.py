@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from defreg.errors import ValidationError
+from defreg.errors import ValidationError, format_row, write_lines
 from defreg.geometry import _as_points
 
 EPE_STRICT = 0.025
@@ -118,14 +118,12 @@ _CSV_COLUMNS = ("scene", "point_count", "epe", "acc_s", "acc_r", "outlier_ratio"
 
 def write_metrics_csv(path, rows) -> None:
     """rows: iterable of (name, MetricsReport); optional fields left blank."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(_CSV_COLUMNS) + "\n")
-        for name, rep in rows:
-            fields = [str(name), str(rep.point_count), repr(float(rep.epe)), repr(float(rep.acc_s)),
-                      repr(float(rep.acc_r)), repr(float(rep.outlier_ratio))]
-            fields.append("" if rep.precision is None else repr(float(rep.precision)))
-            fields.append("" if rep.recall is None else repr(float(rep.recall)))
-            fh.write(",".join(fields) + "\n")
+    write_lines(path, [format_row(_CSV_COLUMNS)] + [
+        format_row((str(name), rep.point_count,
+                    *map(float, (rep.epe, rep.acc_s, rep.acc_r, rep.outlier_ratio)),
+                    *("" if v is None else float(v) for v in (rep.precision, rep.recall))))
+        for name, rep in rows
+    ])
 
 
 def format_metrics_table(rows) -> str:

@@ -151,10 +151,10 @@ def project_rotation(m) -> np.ndarray:
     return r
 
 
-def furthest_point_sample(cloud, coverage: float, start_index: int = 0) -> np.ndarray:
+def furthest_point_sample(cloud, coverage: float) -> np.ndarray:
     """Furthest point sampling until every point is covered.
 
-    Starting from ``start_index``, repeatedly adds the point farthest from
+    Starting from point 0, repeatedly adds the point farthest from
     the selected set, stopping once every point lies within ``coverage``
     of some selected point. Ties in the farthest distance resolve to the
     lowest point index (a convention; any choice satisfies the coverage
@@ -163,13 +163,12 @@ def furthest_point_sample(cloud, coverage: float, start_index: int = 0) -> np.nd
     Returns the selected indices in selection order as an int64 array.
     """
     pts = _as_points(cloud)
-    n = pts.shape[0]
+    if pts.shape[0] < 1:
+        raise ValidationError("empty cloud")
     if coverage <= 0:
         raise ValidationError("coverage must be positive")
-    if not 0 <= start_index < n:
-        raise ValidationError(f"start_index {start_index} out of range for {n} points")
-    selected = [int(start_index)]
-    dist2 = np.sum((pts - pts[start_index]) ** 2, axis=1)
+    selected = [0]
+    dist2 = np.sum((pts - pts[0]) ** 2, axis=1)
     cov2 = float(coverage) * float(coverage)  # a float product rounds to inf, where ** raises
     while True:
         far = int(np.argmax(dist2))  # argmax takes the first max: lowest index wins ties

@@ -37,7 +37,7 @@ import numpy as np
 from defreg.consistency import CorrespondenceSet
 from defreg.defgraph import DeformationGraph, assign_points, build_graph
 from defreg.errors import (FileFormatError, NumericalError, ValidationError, check_fields,
-                           parse_rows, positive, read_lines)
+                           format_row, parse_rows, positive, read_lines, write_lines)
 from defreg.geometry import PointCloud, _as_points, exp_so3, log_so3, project_rotation, skew
 
 __all__ = [
@@ -333,8 +333,6 @@ def solve(corr: CorrespondenceSet, source: PointCloud, config: SolverConfig,
     A non-finite cost, step or rotation update raises NumericalError naming
     the iteration (0 for the initial cost).
     """
-    if len(corr) < 1:
-        raise ValidationError("no correspondences")
     if graph is None:
         graph = build_graph(source, coverage, assign_k)
     trace = []
@@ -363,14 +361,12 @@ def write_warp_field(path, field: WarpField) -> None:
     """Text format: one header line (node count, coverage, assign_k), then
     per node: position, axis-angle rotation, translation."""
     graph = field.graph
-    lines = [f"warp-field nodes {graph.num_nodes} coverage {float(graph.coverage)!r} assign_k {graph.assign_k}"]
-    for j in range(graph.num_nodes):
-        values = np.concatenate(
-            [graph.nodes[j], log_so3(field.rotations[j]), field.translations[j]]
-        )
-        lines.append(" ".join(repr(float(x)) for x in values))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    head = ("warp-field", "nodes", graph.num_nodes, "coverage", float(graph.coverage),
+            "assign_k", graph.assign_k)
+    write_lines(path, [format_row(head, " ")] + [
+        format_row((*graph.nodes[j], *log_so3(field.rotations[j]), *field.translations[j]), " ")
+        for j in range(graph.num_nodes)
+    ])
 
 
 def read_warp_field(path) -> WarpField:
@@ -400,6 +396,5 @@ def read_warp_field(path) -> WarpField:
         point_weights=np.zeros((0, min(assign_k, count))),
         node_to_members=tuple(np.zeros(0, dtype=np.int64) for _ in range(count)),
         edges=np.zeros((0, 2), dtype=np.int64),
-        node_indices=np.arange(count, dtype=np.int64),
     )
     return WarpField(graph, exp_so3(omegas), translations)

@@ -12,7 +12,9 @@ files are byte-stable across runs for identical inputs.
 
 from __future__ import annotations
 
-from defreg.errors import FileFormatError, parse_rows, read_lines
+from itertools import chain
+
+from defreg.errors import FileFormatError, format_row, parse_rows, read_lines, write_lines
 from defreg.geometry import PointCloud
 
 _PLY_FLOAT_TYPES = {"float", "float32", "double", "float64"}
@@ -68,18 +70,9 @@ def read_ply(path) -> PointCloud:
 
 def write_ply(path, cloud: PointCloud) -> None:
     """Write an ASCII PLY vertex cloud (meters)."""
-    pts = cloud.points
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("ply\n")
-        fh.write("format ascii 1.0\n")
-        fh.write("comment units meters\n")
-        fh.write(f"element vertex {pts.shape[0]}\n")
-        fh.write("property float x\n")
-        fh.write("property float y\n")
-        fh.write("property float z\n")
-        fh.write("end_header\n")
-        for p in pts:
-            fh.write(f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}\n")
+    header = ["ply", "format ascii 1.0", "comment units meters", f"element vertex {len(cloud)}",
+              "property float x", "property float y", "property float z", "end_header"]
+    write_lines(path, chain(header, (format_row(p.tolist(), " ") for p in cloud.points)))
 
 
 def read_xyz(path) -> PointCloud:

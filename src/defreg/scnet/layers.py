@@ -74,7 +74,6 @@ class GroupNorm:
     def __init__(self, channels: int, groups: int, eps: float = 1e-5):
         if channels % groups != 0:
             raise ValidationError(f"groups {groups} must divide channels {channels}")
-        self.channels = channels
         self.groups = groups
         self.eps = eps
         self.gamma = np.ones(channels)

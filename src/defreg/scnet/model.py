@@ -109,8 +109,6 @@ class ScNetConfig:
         """Descriptor of everything that determines the function shape (no seed)."""
         desc = asdict(self)
         desc.pop("seed")
-        desc["init_widths"] = list(self.init_widths)
-        desc["head_widths"] = list(self.head_widths)
         return desc
 
 
@@ -308,10 +306,9 @@ class Tape:
 
 @dataclass(slots=True, eq=False)
 class ForwardState:
-    """Result of one forward pass: the encoded input, the pre-head features,
-    the scores, and the Tape of a pass run with keep_tape (else None)."""
+    """Result of one forward pass: the pre-head features, the scores, and
+    the Tape of a pass run with keep_tape (else None)."""
 
-    encoded: np.ndarray
     features: np.ndarray
     scores: np.ndarray
     tape: Tape | None
@@ -339,7 +336,7 @@ def run_forward(model: ScNetModel, corr: CorrespondenceSet, graph: DeformationGr
     """Full forward pass in the dtype of the model's parameters. With
     keep_tape every layer cache is kept for backward_through; without it the
     caches are dropped as the pass goes. Both run the same operations in the
-    same order, so encoded, features and scores are bitwise the same either
+    same order, so features and scores are bitwise the same either
     way. Non-finite logits (a float32 pass overflows on coordinates above
     about 3e38) raise NumericalError."""
     if graph.num_points != len(corr):
@@ -353,8 +350,8 @@ def run_forward(model: ScNetModel, corr: CorrespondenceSet, graph: DeformationGr
             raise ValidationError(f"consistency blocks missing node {j}")
         nodes.append((j, members, member_weights(graph, j).astype(dtype, copy=False)[:, None]))
     tape = Tape(init=[], nodes=nodes, blocks=[], head=[]) if keep_tape else None
-    encoded = encode_input(corr).astype(dtype, copy=False)
-    feats = _forward(model.init, encoded, tape.init if keep_tape else None)
+    feats = _forward(model.init, encode_input(corr).astype(dtype, copy=False),
+                     tape.init if keep_tape else None)
     for block in model.blocks:
         if keep_tape:
             tape.blocks.append([])
@@ -372,7 +369,7 @@ def run_forward(model: ScNetModel, corr: CorrespondenceSet, graph: DeformationGr
         raise NumericalError(f"scoring: non-finite logit for correspondence "
                              f"{int(np.argmin(np.isfinite(logits)))} (the network computes in "
                              f"{dtype}, and coordinates beyond its range overflow)")
-    return ForwardState(encoded, feats, sigmoid(logits), tape)
+    return ForwardState(feats, sigmoid(logits), tape)
 
 
 def backward_through(model: ScNetModel, state: ForwardState, d_scores: np.ndarray,

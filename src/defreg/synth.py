@@ -11,7 +11,6 @@ are never ambiguous.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -21,7 +20,7 @@ import numpy as np
 
 from defreg.consistency import CorrespondenceSet, write_corr_csv
 from defreg.defgraph import build_graph
-from defreg.errors import ValidationError, check_fields, nonnegative
+from defreg.errors import ValidationError, check_fields, nonnegative, write_document
 from defreg.geometry import PointCloud, exp_so3
 from defreg.nicp import WarpField, write_warp_field
 from defreg.pointcloud_io import write_ply
@@ -243,6 +242,4 @@ def write_scene_bundle(out_dir, spec: SceneSpec, source: PointCloud, target: Poi
     write_ply(os.path.join(out_dir, "target.ply"), target)
     write_corr_csv(os.path.join(out_dir, "corr.csv"), corr)
     write_warp_field(os.path.join(out_dir, "warp.txt"), gt_warp)
-    with open(os.path.join(out_dir, "spec.json"), "w", encoding="ascii") as fh:
-        json.dump(asdict(spec), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_document(os.path.join(out_dir, "spec.json"), asdict(spec))

@@ -24,7 +24,8 @@ import numpy as np
 
 from defreg.consistency import CorrespondenceSet, LocalConsistency, local_consistency
 from defreg.defgraph import DeformationGraph, build_graph
-from defreg.errors import NumericalError, ValidationError, check_fields, nonnegative
+from defreg.errors import (NumericalError, ValidationError, check_fields, format_row, nonnegative,
+                           write_lines)
 from defreg.geometry import exp_so3
 from defreg.scnet.model import ScNetConfig, ScNetModel, backward_through, run_forward
 
@@ -76,7 +77,6 @@ class TrainScene:
     corr: CorrespondenceSet
     graph: DeformationGraph
     theta: LocalConsistency
-    labels: np.ndarray
 
 
 def label_correspondences(corr: CorrespondenceSet, gt_warp, tau_d: float) -> np.ndarray:
@@ -175,16 +175,16 @@ def total_loss(scores, labels, features, graph, sigma_f, gamma: float, loss_lamb
 def backward(model: ScNetModel, batch: TrainScene, gamma: float = 2.0, loss_lambda: float = 1.0):
     """Run forward, populate exact gradients on the model (including
     sigma_f), and return (total, cls, con) loss components."""
-    if batch.labels is None:
+    if batch.corr.labels is None:
         raise ValidationError("training scene has no labels")
     if model.dtype != np.float64:
         raise ValidationError(f"training runs on float64 parameters; this model holds "
                               f"{model.dtype} ones loaded from a parameter file")
     model.zero_grad()
     state = run_forward(model, batch.corr, batch.graph, batch.theta, keep_tape=True)
-    cls, dscores = _focal_mean_grad(state.scores, batch.labels, gamma)
+    cls, dscores = _focal_mean_grad(state.scores, batch.corr.labels, gamma)
     con, dfeatures, dsigma = _consistency_terms(
-        state.features, batch.graph, batch.labels, model.sigma_f, want_grad=True
+        state.features, batch.graph, batch.corr.labels, model.sigma_f, want_grad=True
     )
     model.gsigma_f += loss_lambda * dsigma
     backward_through(model, state, dscores, loss_lambda * dfeatures)
@@ -198,14 +198,14 @@ def prepare_scene(corr: CorrespondenceSet, sigma_n: float, assign_k: int,
         raise ValidationError("correspondence set has no labels")
     graph = build_graph(corr.source, sigma_n, assign_k)
     theta = local_consistency(corr, graph, sigma_d)
-    return TrainScene(corr=corr, graph=graph, theta=theta, labels=corr.labels)
+    return TrainScene(corr=corr, graph=graph, theta=theta)
 
 
 def scene_loss(model: ScNetModel, batch: TrainScene, gamma: float = 2.0,
                loss_lambda: float = 1.0) -> float:
     """total_loss at the model's current parameters, no gradients."""
     state = run_forward(model, batch.corr, batch.graph, batch.theta)
-    return total_loss(state.scores, batch.labels, state.features, batch.graph,
+    return total_loss(state.scores, batch.corr.labels, state.features, batch.graph,
                       model.sigma_f, gamma, loss_lambda)
 
 
@@ -284,7 +284,7 @@ def _augment_scene(scene: TrainScene, rng: np.random.Generator) -> TrainScene:
         scene.corr.labels,
         scene.corr.scores,
     )
-    return TrainScene(corr=corr, graph=scene.graph, theta=scene.theta, labels=scene.labels)
+    return TrainScene(corr=corr, graph=scene.graph, theta=scene.theta)
 
 
 def train(model: ScNetModel, dataset, config: TrainConfig):
@@ -322,7 +322,7 @@ def train(model: ScNetModel, dataset, config: TrainConfig):
 
 
 def write_loss_log(path, log_rows) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("epoch,mean_loss,mean_cls,mean_con,lr\n")
-        for epoch, mean_loss, mean_cls, mean_con, lr in log_rows:
-            fh.write(f"{epoch},{float(mean_loss)!r},{float(mean_cls)!r},{float(mean_con)!r},{float(lr)!r}\n")
+    write_lines(path, ["epoch,mean_loss,mean_cls,mean_con,lr"] + [
+        format_row((epoch, *map(float, (mean_loss, mean_cls, mean_con, lr))))
+        for epoch, mean_loss, mean_cls, mean_con, lr in log_rows
+    ])

@@ -176,7 +176,8 @@ def test_coverage_property_after_build():
 def test_nodes_are_cloud_points():
     cloud = _random_cloud(16, 100, 1.0)
     graph = build_graph(cloud, 0.3, 4)
-    np.testing.assert_array_equal(graph.nodes, cloud.points[graph.node_indices])
+    is_row = (graph.nodes[:, None] == cloud.points[None]).all(axis=2)
+    assert is_row.any(axis=1).all()
 
 
 def test_build_rejects_bad_parameters():
@@ -192,8 +193,7 @@ def _two_node_graph(weights):
     return DeformationGraph(
         nodes=np.array([[0.0, 0, 0], [1.0, 0, 0]]), coverage=0.5, assign_k=2,
         point_to_nodes=np.array([[0, 1]]), point_weights=np.array([weights]),
-        node_to_members=(np.array([0]), np.array([0])), edges=np.array([[0, 1]]),
-        node_indices=np.array([0, 1]))
+        node_to_members=(np.array([0]), np.array([0])), edges=np.array([[0, 1]]))
 
 
 @pytest.mark.parametrize("weights", [[1.0, np.nan], [np.nan, np.nan], [1.25, -0.25], [0.5, 0.6]])

@@ -116,14 +116,14 @@ def test_fps_single_point():
 
 def test_fps_hand_traced_line():
     cloud = PointCloud(np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]]))
-    nodes = furthest_point_sample(cloud, 0.6, start_index=0)
+    nodes = furthest_point_sample(cloud, 0.6)
     assert list(nodes) == [0, 2, 1]
 
 
 def test_fps_stops_when_coverage_met():
     rng = np.random.default_rng(1)
     cloud = PointCloud(rng.uniform(-0.01, 0.01, size=(20, 3)))
-    assert list(furthest_point_sample(cloud, 0.5, start_index=4)) == [4]
+    assert list(furthest_point_sample(cloud, 0.5)) == [0]
 
 
 def test_fps_coverage_property():
@@ -139,5 +139,5 @@ def test_fps_coverage_property():
 def test_fps_tie_breaks_to_first_occurrence():
     # both endpoints are equally far from the start; first occurrence wins
     cloud = PointCloud(np.array([[0.0, 0, 0], [-1.0, 0, 0], [1.0, 0, 0]]))
-    nodes = furthest_point_sample(cloud, 0.6, start_index=0)
+    nodes = furthest_point_sample(cloud, 0.6)
     assert nodes[1] == 1
