@@ -85,10 +85,10 @@ class GroupNorm:
         n, c = x.shape
         g = self.groups
         xg = x.reshape(n, g, c // g)
-        mu = xg.mean(axis=2, keepdims=True)
-        var = ((xg - mu) ** 2).mean(axis=2, keepdims=True)
+        xhat = xg - xg.mean(axis=2, keepdims=True)
+        var = (xhat ** 2).mean(axis=2, keepdims=True)
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (xg - mu) * inv_std
+        xhat *= inv_std
         y = xhat.reshape(n, c) * self.gamma + self.beta
         return y, (xhat, inv_std)
 
@@ -110,9 +110,10 @@ class GroupNorm:
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = x - x.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def softmax_backward(softmax_out: np.ndarray, dy: np.ndarray) -> np.ndarray:

@@ -4,19 +4,31 @@ Data flow for one correspondence set:
 
   encode_input      6D coordinates -> 18D low-frequency Fourier features
   init stack        Linear, GroupNorm, LeakyRelu per init width, up to width d
-  embedding blocks  per graph node: gather member rows, run the node's
-                    consistency block through stacked attention units,
-                    then add the node's output, weighted by its members'
-                    skinning weights, into the block's blended features
-                    (ascending node order, so the reduction is bitwise
-                    deterministic and equal to aggregate's)
+  embedding blocks  per group of consecutive graph nodes: gather the
+                    nodes' member rows into one stack, run it through the
+                    block's attention units, then add each node's output
+                    rows, weighted by its members' skinning weights, into
+                    the block's blended features node by node (ascending
+                    node order, so the reduction is bitwise deterministic
+                    and equal to aggregate's)
   head stack        Linear, GroupNorm, LeakyRelu per hidden head width,
                     then a Linear to one logit; the score is its sigmoid
 
 Attention logits are reweighted by elementwise multiplication with the
 node's consistency matrix before the row softmax. A zero consistency
 entry therefore contributes logit 0 (uniform weight), not -inf; this is
-reweighting, not masking.
+reweighting, not masking. Attention runs per node patch, so it stays
+block-diagonal within a group; the projections, norms and feedforward
+layers run once on the whole group.
+
+A group closes before the next node would take it past _GROUP_ENTRIES
+(rows x feature_dim) entries, and a larger node runs alone. Grouping
+saves per-call overhead where blocks are small: at 32-d a whole 240-row
+training scene (about 31 nodes of about 46 rows) is one group. The bound
+keeps a group's intermediates small where blocks are large: at 256-d a
+prune node of a few hundred rows stays alone, and stacking every node of
+a 2000-row scene into one call took peak memory from 141 MB to 504 MB and
+ran slower.
 
 The init and head stacks are plain lists of layers, and each block is a
 list of units; every one of them runs through the same two helpers,
@@ -24,11 +36,11 @@ _forward and _backward. The same unit parameters process every node's
 block (weight sharing), so caches are returned per call instead of stored
 on layers. Only a forward that will be differentiated keeps them:
 run_forward(..., keep_tape=True) records every cache in a Tape, together
-with each node's members and skinning-weight column as the pass used
+with each group's members and skinning-weight column as the pass used
 them, so backward_through replays it in reverse without the graph.
 Without the tape each cache is dropped once the next layer has consumed
-its output, so an inference forward holds one node block's intermediates
-at a time instead of a tape that grows with every unit of every node.
+its output, so an inference forward holds one group's intermediates at a
+time instead of a tape that grows with every unit of every group.
 
 The pass computes in the dtype of the model's parameters: float64 for a
 constructed model (training and its gradient checks), float32 for one
@@ -113,9 +125,9 @@ class ScNetConfig:
 
 
 class ScaUnit:
-    """One attention unit: consistency-reweighted self-attention with a
-    linear output projection, residual + layer norm, then a two-layer
-    feedforward with residual + layer norm."""
+    """One attention unit: consistency-reweighted self-attention within
+    each node patch, a linear output projection, residual + layer norm,
+    then a two-layer feedforward with residual + layer norm."""
 
     def __init__(self, dim: int, slope: float, rng: np.random.Generator):
         bound = np.sqrt(1.0 / dim)
@@ -135,42 +147,61 @@ class ScaUnit:
         self.ln2 = GroupNorm(dim, 1)
         self.act = LeakyRelu(slope)
 
-    def forward(self, feats: np.ndarray, theta: np.ndarray):
-        if theta.shape != (feats.shape[0], feats.shape[0]):
-            raise ValidationError("theta shape does not match feature block")
+    def forward(self, feats: np.ndarray, thetas):
+        """Run a group of node patches stacked as rows. thetas holds each
+        patch's consistency block in row order, so their sizes partition
+        the rows; attention stays within a patch, every other layer runs
+        once on the whole group."""
+        spans, start = [], 0
+        for theta in thetas:
+            spans.append((start, start + theta.shape[0]))
+            start += theta.shape[0]
+        if not spans or start != feats.shape[0] or any(
+                theta.shape != (b - a, b - a) for theta, (a, b) in zip(thetas, spans)):
+            raise ValidationError("theta blocks must be square and partition the feature rows")
         q = feats @ self.wq
         k = feats @ self.wk
         v = feats @ self.wv
-        logits = theta * (q @ k.T) * self.inv_sqrt_d
-        attn = softmax_rows(logits)
-        mixed = attn @ v
+        mixed = np.empty_like(v)
+        attns = []
+        for (a, b), theta in zip(spans, thetas):
+            attn = softmax_rows(theta * (q[a:b] @ k[a:b].T) * self.inv_sqrt_d)
+            np.matmul(attn, v[a:b], out=mixed[a:b])
+            attns.append(attn)
         proj, c_proj = self.attn_out.forward(mixed)
         z1, c_ln1 = self.ln1.forward(feats + proj)
         u1, c_ff1 = self.ff1.forward(z1)
         h1, c_act = self.act.forward(u1)
         u2, c_ff2 = self.ff2.forward(h1)
         z2, c_ln2 = self.ln2.forward(z1 + u2)
-        cache = (feats, theta, q, k, v, attn, c_proj, c_ln1, c_ff1, c_act, c_ff2, c_ln2)
+        cache = (feats, spans, thetas, q, k, v, attns, c_proj, c_ln1, c_ff1, c_act, c_ff2, c_ln2)
         return z2, cache
 
     def backward(self, cache, dz2: np.ndarray) -> np.ndarray:
-        feats, theta, q, k, v, attn, c_proj, c_ln1, c_ff1, c_act, c_ff2, c_ln2 = cache
+        feats, spans, thetas, q, k, v, attns, c_proj, c_ln1, c_ff1, c_act, c_ff2, c_ln2 = cache
         dsum2 = self.ln2.backward(c_ln2, dz2)
-        dh1 = self.ff2.backward(c_ff2, dsum2)
-        du1 = self.act.backward(c_act, dh1)
-        dz1 = self.ff1.backward(c_ff1, du1) + dsum2
+        dz1 = self.ff1.backward(c_ff1, self.act.backward(c_act, self.ff2.backward(c_ff2, dsum2)))
+        dz1 += dsum2
         dsum1 = self.ln1.backward(c_ln1, dz1)
+        # each array here spans the group's rows: drop the dead ones early,
+        # which keeps a training step's peak memory near the per-node pass's
+        del dsum2, dz1
         dmixed = self.attn_out.backward(c_proj, dsum1)
-        dattn = dmixed @ v.T
-        dv = attn.T @ dmixed
-        dlogits = softmax_backward(attn, dattn)
-        dqk = dlogits * theta * self.inv_sqrt_d
-        dq = dqk @ k
-        dk = dqk.T @ q
+        dq, dk, dv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
+        for (a, b), theta, attn in zip(spans, thetas, attns):
+            dlogits = softmax_backward(attn, dmixed[a:b] @ v[a:b].T)
+            dqk = dlogits * theta * self.inv_sqrt_d
+            np.matmul(attn.T, dmixed[a:b], out=dv[a:b])
+            np.matmul(dqk, k[a:b], out=dq[a:b])
+            np.matmul(dqk.T, q[a:b], out=dk[a:b])
+        del dmixed
         self.gwq += feats.T @ dq
         self.gwk += feats.T @ dk
         self.gwv += feats.T @ dv
-        dfeats = dq @ self.wq.T + dk @ self.wk.T + dv @ self.wv.T + dsum1
+        dfeats = dq @ self.wq.T
+        dfeats += dk @ self.wk.T
+        dfeats += dv @ self.wv.T
+        dfeats += dsum1
         return dfeats
 
     def params(self):
@@ -294,13 +325,59 @@ def aggregate(node_features: dict, graph: DeformationGraph) -> np.ndarray:
     return out
 
 
+# A unit call runs on a group of consecutive node patches holding at most
+# this many rows x feature_dim entries; a larger node runs alone.
+_GROUP_ENTRIES = 1 << 16
+
+
+@dataclass(slots=True, eq=False)
+class _Group:
+    """Consecutive non-empty nodes, ascending j, run through each block as
+    one stack of their member rows."""
+
+    nodes: list          # node indices j, ascending
+    rows: np.ndarray     # the nodes' member lists, concatenated
+    alpha: np.ndarray    # skinning weights aligned with rows, as a column
+    bounds: list         # node i's rows are rows[bounds[i]:bounds[i + 1]]
+
+    def add_to(self, out: np.ndarray, x: np.ndarray) -> None:
+        """out[members] += the node's rows of x, node by node in ascending j
+        (a point belongs to several nodes of one group)."""
+        for a, b in zip(self.bounds, self.bounds[1:]):
+            out[self.rows[a:b]] += x[a:b]
+
+
+def _node_groups(graph: DeformationGraph, theta: LocalConsistency, dtype, width: int) -> list:
+    """The non-empty nodes in ascending j, split into groups of at most
+    _GROUP_ENTRIES rows x width entries; every group holds at least one node."""
+    parts, stop = [], 0  # per group: (nodes, global row bounds)
+    for j, members in enumerate(graph.node_to_members):
+        if members.size == 0:
+            continue
+        if j not in theta.blocks:
+            raise ValidationError(f"consistency blocks missing node {j}")
+        stop += members.size
+        if not parts or (stop - parts[-1][1][0]) * width > _GROUP_ENTRIES:
+            parts.append(([], [stop - members.size]))
+        parts[-1][0].append(j)
+        parts[-1][1].append(stop)
+    # one stable argsort of point_to_nodes lists every node's members in
+    # ascending node, then point, order: node_to_members concatenated, and
+    # point_weights in that order are member_weights concatenated
+    order = np.argsort(graph.point_to_nodes, axis=None, kind="stable")
+    rows = order // graph.point_to_nodes.shape[1]
+    alpha = graph.point_weights.ravel()[order].astype(dtype, copy=False)[:, None]
+    return [_Group(nodes, rows[b[0]:b[-1]], alpha[b[0]:b[-1]], [x - b[0] for x in b])
+            for nodes, b in parts]
+
+
 @dataclass(slots=True, eq=False)
 class Tape:
     """What backward_through replays of one forward pass."""
 
     init: list    # the init stack's layer caches
-    nodes: list   # (j, members, skinning-weight column) per non-empty node, ascending j
-    blocks: list  # per block, per entry of nodes: the units' caches
+    groups: list  # the _Groups of non-empty nodes, ascending j
+    blocks: list  # per block, per group: the units' caches
     head: list    # the head stack's layer caches
 
 
@@ -316,7 +393,7 @@ class ForwardState:
 
 def _forward(layers, x, caches, *args):
     """Run x through layers in order, appending each layer's cache to
-    caches unless it is None; args go to every layer (a unit's theta)."""
+    caches unless it is None; args go to every layer (a unit's thetas)."""
     for layer in layers:
         x, cache = layer.forward(x, *args)
         if caches is not None:
@@ -342,26 +419,21 @@ def run_forward(model: ScNetModel, corr: CorrespondenceSet, graph: DeformationGr
     if graph.num_points != len(corr):
         raise ValidationError("graph was not built over these correspondences")
     dtype = model.dtype
-    nodes = []  # (j, members, skinning weights as a column), ascending j
-    for j, members in enumerate(graph.node_to_members):
-        if members.size == 0:
-            continue
-        if j not in theta.blocks:
-            raise ValidationError(f"consistency blocks missing node {j}")
-        nodes.append((j, members, member_weights(graph, j).astype(dtype, copy=False)[:, None]))
-    tape = Tape(init=[], nodes=nodes, blocks=[], head=[]) if keep_tape else None
+    groups = _node_groups(graph, theta, dtype, model.config.feature_dim)
+    tape = Tape(init=[], groups=groups, blocks=[], head=[]) if keep_tape else None
     feats = _forward(model.init, encode_input(corr).astype(dtype, copy=False),
                      tape.init if keep_tape else None)
     for block in model.blocks:
         if keep_tape:
             tape.blocks.append([])
         blended = np.zeros_like(feats)
-        for j, members, alpha in nodes:
+        for group in groups:
             unit_caches = [] if keep_tape else None
-            z = _forward(block, feats[members], unit_caches, theta.blocks[j].astype(dtype, copy=False))
+            thetas = [theta.blocks[j].astype(dtype, copy=False) for j in group.nodes]
+            z = _forward(block, feats[group.rows], unit_caches, thetas)
             if keep_tape:
                 tape.blocks[-1].append(unit_caches)
-            blended[members] += alpha * z
+            group.add_to(blended, group.alpha * z)
         feats = blended
     logits = _forward(model.head, feats, tape.head if keep_tape else None)
     logits = logits[:, 0].astype(np.float64, copy=False)
@@ -377,7 +449,7 @@ def backward_through(model: ScNetModel, state: ForwardState, d_scores: np.ndarra
     """Accumulate parameter gradients for dL/dscores and (optionally) a
     direct dL/dfeatures term on the pre-head feature matrix. The state
     must come from run_forward(..., keep_tape=True); its tape holds every
-    node's members and skinning weights, so no graph is passed."""
+    group's members and skinning weights, so no graph is passed."""
     tape = state.tape
     if tape is None:
         raise ValidationError("forward state holds no tape; run_forward(..., keep_tape=True)")
@@ -385,10 +457,10 @@ def backward_through(model: ScNetModel, state: ForwardState, d_scores: np.ndarra
     dfeats = _backward(model.head, tape.head, (d_scores * s * (1.0 - s))[:, None])
     if d_features is not None:
         dfeats = dfeats + d_features
-    for block, node_caches in zip(reversed(model.blocks), reversed(tape.blocks)):
+    for block, group_caches in zip(reversed(model.blocks), reversed(tape.blocks)):
         dprev = np.zeros_like(dfeats)
-        for (_, members, alpha), unit_caches in zip(tape.nodes, node_caches):  # ascending j
-            dprev[members] += _backward(block, unit_caches, alpha * dfeats[members])
+        for group, unit_caches in zip(tape.groups, group_caches):  # ascending j
+            group.add_to(dprev, _backward(block, unit_caches, group.alpha * dfeats[group.rows]))
         dfeats = dprev
     _backward(model.init, tape.init, dfeats)
 

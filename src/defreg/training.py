@@ -10,6 +10,11 @@ node neighborhood:
 compared against the target (1 iff both inliers), summed |delta - target|
 over every ordered member pair of every nonempty node, scaled by
 1 / (|C_j|^2 |V|^2). sigma_f is a model parameter and is trained jointly.
+The squared distance is taken in Gram form, max(2 - 2 hhat_x . hhat_y, 0),
+so a node costs one |C_j| x |C_j| product instead of a |C_j| x |C_j| x d
+difference; its gradient is that of |hhat_x - hhat_y|^2. The diagonal is
+not zeroed: hhat_x . hhat_x is 1 only to within rounding, which leaves a
+self-pair's d2 at a few 1e-16 instead of 0.
 
 Gradients are exact reverse-mode: loss -> scores/features here, then
 through the network via scnet.backward_through. Nothing is approximated,
@@ -134,8 +139,8 @@ def _consistency_terms(features, graph, labels, sigma_f, want_grad):
     for j in nonempty:
         members = graph.node_to_members[j]
         block = hhat[members]
-        diffs = block[:, None, :] - block[None, :, :]
-        d2 = (diffs ** 2).sum(axis=2)
+        # |a - b|^2 = 2 - 2 a.b for unit rows, to within a few ulp
+        d2 = np.maximum(2.0 - 2.0 * (block @ block.T), 0.0)
         raw = 1.0 - d2 / (sig * sig)
         delta = np.maximum(raw, 0.0)
         target = np.outer(lab[members], lab[members])

@@ -17,6 +17,7 @@ from defreg.scnet.layers import (
     softmax_rows,
 )
 from defreg.scnet.model import (
+    _GROUP_ENTRIES,
     ForwardState,
     ScNetConfig,
     ScNetModel,
@@ -24,6 +25,7 @@ from defreg.scnet.model import (
     aggregate,
     backward_through,
     classify,
+    _node_groups,
     encode_input,
     run_forward,
 )
@@ -206,7 +208,7 @@ def test_attention_matches_dense_oracle():
     theta = rng.uniform(size=(3, 3))
     theta = (theta + theta.T) / 2
     np.testing.assert_allclose(
-        unit.forward(feats, theta)[0], _unit_oracle(unit, feats, theta), atol=1e-10
+        unit.forward(feats, [theta])[0], _unit_oracle(unit, feats, theta), atol=1e-10
     )
 
 
@@ -214,7 +216,7 @@ def test_attention_zero_theta_is_uniform():
     rng = np.random.default_rng(6)
     unit = ScaUnit(8, 0.01, rng)
     feats = rng.normal(size=(4, 8))
-    got = unit.forward(feats, np.zeros((4, 4)))[0]
+    got = unit.forward(feats, [np.zeros((4, 4))])[0]
     np.testing.assert_allclose(got, _unit_oracle(unit, feats, np.zeros((4, 4))), atol=1e-12)
     # zero logits make every attention row uniform: each row mixes mean(v)
     v = feats @ unit.wv
@@ -226,7 +228,7 @@ def test_attention_singleton_block():
     rng = np.random.default_rng(7)
     unit = ScaUnit(8, 0.01, rng)
     feats = rng.normal(size=(1, 8))
-    out = unit.forward(feats, np.ones((1, 1)))[0]
+    out = unit.forward(feats, [np.ones((1, 1))])[0]
     assert out.shape == (1, 8)
     np.testing.assert_allclose(out, _unit_oracle(unit, feats, np.ones((1, 1))), atol=1e-12)
 
@@ -235,7 +237,7 @@ def test_attention_rejects_theta_shape_mismatch():
     rng = np.random.default_rng(8)
     unit = ScaUnit(8, 0.01, rng)
     with pytest.raises(ValidationError):
-        unit.forward(rng.normal(size=(3, 8)), np.ones((2, 2)))
+        unit.forward(rng.normal(size=(3, 8)), [np.ones((2, 2))])
 
 
 def test_unit_backward_matches_fd():
@@ -246,10 +248,10 @@ def test_unit_backward_matches_fd():
     wsum = rng.normal(size=(3, 8))
 
     def loss(f):
-        out, _ = unit.forward(f, theta)
+        out, _ = unit.forward(f, [theta])
         return float((out * wsum).sum())
 
-    out, cache = unit.forward(feats, theta)
+    out, cache = unit.forward(feats, [theta])
     for _, _, g in unit.params():
         g[...] = 0.0
     dfeats = unit.backward(cache, wsum)
@@ -273,6 +275,67 @@ def test_unit_backward_matches_fd():
             param[idx] = orig
             fd_p[idx] = (hi - lo) / (2 * h)
         np.testing.assert_allclose(name_to_grad[name], fd_p, atol=1e-6, err_msg=name)
+
+
+def _patches(rng, sizes, dim=8):
+    """Feature rows of consecutive patches and a symmetric theta block per patch."""
+    thetas = [rng.uniform(size=(m, m)) for m in sizes]
+    return rng.normal(size=(sum(sizes), dim)), [(t + t.T) / 2 for t in thetas]
+
+
+def test_grouped_unit_keeps_patches_apart():
+    rng = np.random.default_rng(10)
+    unit = ScaUnit(8, 0.01, rng)
+    sizes = (3, 1, 4, 2)
+    feats, thetas = _patches(rng, sizes)
+    base = unit.forward(feats, thetas)[0]
+    bounds = np.cumsum((0,) + sizes)
+    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        alone = unit.forward(feats[a:b], [thetas[i]])[0]
+        np.testing.assert_allclose(base[a:b], alone, rtol=0, atol=1e-12)
+        moved = feats.copy()
+        moved[a:b] += rng.normal(size=(b - a, 8))
+        out = unit.forward(moved, thetas)[0]
+        assert not np.array_equal(out[a:b], base[a:b])
+        others = np.r_[0:a, b:len(feats)]
+        assert out[others].tobytes() == base[others].tobytes()
+
+
+def test_grouped_unit_backward_matches_fd():
+    rng = np.random.default_rng(11)
+    unit = ScaUnit(8, 0.01, rng)
+    feats, thetas = _patches(rng, (1, 2, 3))
+    wsum = rng.normal(size=feats.shape)
+
+    def loss():
+        return float((unit.forward(feats, thetas)[0] * wsum).sum())
+
+    _, cache = unit.forward(feats, thetas)
+    for _, _, g in unit.params():
+        g[...] = 0.0
+    dfeats = unit.backward(cache, wsum)
+    h = 1e-6
+    for name, array, grad in [("feats", feats, dfeats)] + unit.params():
+        fd = np.zeros_like(array)
+        for idx in np.ndindex(array.shape):
+            orig = array[idx]
+            array[idx] = orig + h
+            hi = loss()
+            array[idx] = orig - h
+            lo = loss()
+            array[idx] = orig
+            fd[idx] = (hi - lo) / (2 * h)
+        np.testing.assert_allclose(grad, fd, atol=1e-6, err_msg=name)
+
+
+@pytest.mark.parametrize("sizes, rows", [((2, 2), 5), ((2, 3), 4), ((), 0)])
+def test_grouped_unit_rejects_thetas_that_do_not_partition_rows(sizes, rows):
+    rng = np.random.default_rng(12)
+    unit = ScaUnit(8, 0.01, rng)
+    with pytest.raises(ValidationError, match="partition the feature rows"):
+        unit.forward(rng.normal(size=(rows, 8)), [np.ones((m, m)) for m in sizes])
+    with pytest.raises(ValidationError, match="must be square"):
+        unit.forward(rng.normal(size=(3, 8)), [np.ones((3, 2))])
 
 
 # -------------------------------------------------------------- aggregate
@@ -458,12 +521,42 @@ def test_run_forward_blends_like_aggregate_bitwise(kind, tmp_path):
             if members.size:
                 z = feats[members]
                 for unit in block:
-                    z, _ = unit.forward(z, theta.blocks[j].astype(dtype))
+                    z, _ = unit.forward(z, [theta.blocks[j].astype(dtype)])
                 node_out[j] = z
         feats = aggregate(node_out, graph)
     got = run_forward(model, corr, graph, theta).features
     assert got.dtype == feats.dtype == dtype
     assert got.tobytes() == feats.tobytes()
+
+
+def test_node_groups_fill_the_budget_in_ascending_node_order():
+    model, (corr, graph, theta) = _default_model_scene()
+    width = model.config.feature_dim
+    groups = _node_groups(graph, theta, np.float64, width)
+    assert any(len(g.nodes) > 1 for g in groups) and len(groups) > 1
+    assert [j for g in groups for j in g.nodes] == [
+        j for j, m in enumerate(graph.node_to_members) if m.size]
+    for g, following in zip(groups, groups[1:] + [None]):
+        assert g.bounds[-1] * width <= _GROUP_ENTRIES or len(g.nodes) == 1
+        if following is not None:  # greedy: the next node would not have fit
+            assert (g.bounds[-1] + following.bounds[1]) * width > _GROUP_ENTRIES
+        for j, a, b in zip(g.nodes, g.bounds, g.bounds[1:]):
+            assert g.rows[a:b].tobytes() == graph.node_to_members[j].tobytes()
+            assert g.alpha[a:b, 0].tobytes() == member_weights(graph, j).tobytes()
+    # several groups blend like every node run alone
+    feats = encode_input(corr)
+    for layer in model.init:
+        feats = layer.forward(feats)[0]
+    for block in model.blocks:
+        node_out = {}
+        for j in theta.blocks:
+            z = feats[graph.node_to_members[j]]
+            for unit in block:
+                z = unit.forward(z, [theta.blocks[j]])[0]
+            node_out[j] = z
+        feats = aggregate(node_out, graph)
+    np.testing.assert_allclose(run_forward(model, corr, graph, theta).features, feats,
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_tape_free_forward_memory_is_bounded():

@@ -28,6 +28,7 @@ from defreg.training import (
     total_loss,
     train,
     write_loss_log,
+    _consistency_terms,
 )
 
 
@@ -128,6 +129,57 @@ def test_consistency_zero_norm_feature_raises():
     feats = np.array([[1.0, 0, 0], [0.0, 0, 0]])
     with pytest.raises(NumericalError, match="zero-norm row 1"):
         consistency_loss(feats, graph, np.ones(2), 1.0)
+
+
+def _consistency_difference_oracle(features, graph, labels, sigma_f):
+    """The loss, dL/dfeatures and dL/dsigma_f with every node's squared
+    distances taken from its (M, M, d) row differences."""
+    norms = np.sqrt((features ** 2).sum(axis=1, keepdims=True))
+    hhat = features / norms
+    lab = np.asarray(labels, dtype=np.float64)
+    nonempty = [m for m in graph.node_to_members if m.size]
+    v2 = len(nonempty) ** 2
+    total, dsigma, dhhat = 0.0, 0.0, np.zeros_like(hhat)
+    for members in nonempty:
+        block = hhat[members]
+        d2 = ((block[:, None, :] - block[None, :, :]) ** 2).sum(axis=2)
+        raw = 1.0 - d2 / sigma_f ** 2
+        gap = np.maximum(raw, 0.0) - np.outer(lab[members], lab[members])
+        scale = 1.0 / (members.size ** 2 * v2)
+        total += np.abs(gap).sum() * scale
+        w = np.sign(gap) * (raw > 0.0) * scale
+        coef = -w / sigma_f ** 2
+        dhhat[members] += 4.0 * (coef.sum(axis=1)[:, None] * block - coef @ block)
+        dsigma += (w * d2).sum() * 2.0 / sigma_f ** 3
+    dfeatures = (dhhat - hhat * (hhat * dhhat).sum(axis=1, keepdims=True)) / norms
+    return total, dfeatures, dsigma
+
+
+@pytest.mark.parametrize("dim, duplicates, sigma_f", [
+    (32, False, 1.0), (32, True, 1.0), (32, True, 0.8), (256, False, 1.0), (256, True, 1.2),
+])
+def test_gram_consistency_matches_difference_oracle(dim, duplicates, sigma_f):
+    rng = np.random.default_rng(dim + 7 * duplicates)
+    src = rng.uniform(0.0, 1.0, (80, 3))
+    if duplicates:
+        src[40:60] = src[:20]  # so each copy below shares its original's nodes
+    graph = build_graph(src, 0.3, 4)
+    labels = (rng.uniform(size=80) < 0.6).astype(np.int8)
+    # rows near one direction, so that the hinge is active for some pairs only
+    feats = rng.normal(size=dim) + 0.6 * rng.normal(size=(80, dim))
+    if duplicates:
+        # exact copies and rescaled copies of rows, inliers and outliers:
+        # the difference form gives their pairs d2 = 0 exactly
+        feats[40:60] = feats[:20] * np.where(np.arange(20) % 2, 1.0, 3.5)[:, None]
+        labels[40:60] = labels[:20]
+    loss, dfeatures, dsigma = _consistency_terms(feats, graph, labels, sigma_f, want_grad=True)
+    ref_loss, ref_dfeatures, ref_dsigma = _consistency_difference_oracle(
+        feats, graph, labels, sigma_f)
+    assert ref_loss > 0.0 and ref_dsigma != 0.0
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    assert abs(dsigma - ref_dsigma) <= 1e-12 * abs(ref_dsigma)
+    np.testing.assert_allclose(dfeatures, ref_dfeatures, rtol=0,
+                               atol=1e-12 * np.abs(ref_dfeatures).max())
 
 
 # -------------------------------------------------------------- total loss
