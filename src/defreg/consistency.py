@@ -83,8 +83,8 @@ class CorrespondenceSet:
 class LocalConsistency:
     """Per-node consistency blocks, indexed like node_to_members.
 
-    blocks  dict node index -> (|C_j|, |C_j|) matrix in [0, 1]; only
-            nodes with a nonempty member set appear
+    blocks  dict node index -> (|C_j|, |C_j|) matrix in [0, 1]; one per
+            graph patch, so only nodes with a nonempty member set appear
     """
 
     blocks: dict
@@ -126,8 +126,8 @@ def local_consistency(corr: CorrespondenceSet, graph: DeformationGraph, sigma_d:
     """Per-node consistency blocks over the members of each graph node.
 
     The graph must have been built over the correspondences' source
-    endpoints, so member indices index into ``corr``. Nodes with no
-    members are skipped. Coordinates whose squared distances overflow leave
+    endpoints, so member indices index into ``corr``. Only the graph's
+    patches get a block. Coordinates whose squared distances overflow leave
     NaN in a block and raise NumericalError naming the node.
     """
     if sigma_d <= 0:
@@ -137,9 +137,7 @@ def local_consistency(corr: CorrespondenceSet, graph: DeformationGraph, sigma_d:
             f"graph covers {graph.num_points} points but there are {len(corr)} correspondences"
         )
     blocks = {}
-    for j, members in enumerate(graph.node_to_members):
-        if members.size == 0:
-            continue
+    for j, members, _ in graph.patches:
         block = _block_consistency(corr.source[members], corr.target[members], float(sigma_d))
         if np.isnan(block).any():
             raise NumericalError(f"local consistency: node {j}'s pairwise distances overflow")

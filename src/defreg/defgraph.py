@@ -9,7 +9,7 @@ owning graph's coverage radius in both cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -35,8 +35,10 @@ class DeformationGraph:
     assign_k        requested neighbors per point (effective: min(k, V))
     point_to_nodes  (N, k') node indices per point, ascending distance
     point_weights   (N, k') skinning weights aligned with point_to_nodes
-    node_to_members (V,) tuple of int arrays: point indices per node (C_j)
     edges           (E, 2) unordered node pairs (u < v) sharing a point
+    node_to_members derived: (V,) tuple of ascending point indices per node (C_j)
+    patches         derived: (j, C_j, alpha_j) for each node with members, in
+                    ascending j; alpha_j holds C_j's skinning weights alpha_{i,j}
     """
 
     nodes: np.ndarray
@@ -44,8 +46,9 @@ class DeformationGraph:
     assign_k: int
     point_to_nodes: np.ndarray
     point_weights: np.ndarray
-    node_to_members: tuple
     edges: np.ndarray
+    node_to_members: tuple = field(init=False)
+    patches: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 3:
@@ -54,8 +57,6 @@ class DeformationGraph:
             raise ValidationError("coverage and assign_k must be positive")
         if self.point_to_nodes.shape != self.point_weights.shape:
             raise ValidationError("assignment index/weight shape mismatch")
-        if len(self.node_to_members) != self.nodes.shape[0]:
-            raise ValidationError("node_to_members count != node count")
         if self.point_to_nodes.size:
             if self.point_to_nodes.min() < 0 or self.point_to_nodes.max() >= self.nodes.shape[0]:
                 raise ValidationError("assignment references a missing node")
@@ -63,6 +64,17 @@ class DeformationGraph:
             # phrased so that a NaN weight fails both checks
             if not (np.abs(sums - 1.0) <= 1e-9).all() or not (self.point_weights >= 0).all():
                 raise ValidationError("skinning weights must be nonnegative and sum to 1")
+        # one stable argsort lists the (point, node) pairs by node, then by
+        # point: each node's members, ascending, with their skinning weights
+        order = np.argsort(self.point_to_nodes, axis=None, kind="stable")
+        bounds = np.searchsorted(self.point_to_nodes.ravel()[order], np.arange(self.num_nodes + 1))
+        rows = order // self.point_to_nodes.shape[1]
+        alpha = self.point_weights.ravel()[order]
+        spans = list(zip(bounds, bounds[1:]))
+        members = tuple(rows[a:b] for a, b in spans)
+        patches = tuple((j, members[j], alpha[a:b]) for j, (a, b) in enumerate(spans) if b > a)
+        object.__setattr__(self, "node_to_members", members)
+        object.__setattr__(self, "patches", patches)
 
     @property
     def num_nodes(self) -> int:
@@ -147,14 +159,10 @@ def build_graph(cloud, coverage: float, assign_k: int) -> DeformationGraph:
     two nodes whenever some point is assigned to both.
     """
     pts = _as_points(cloud)
-    if assign_k < 1:
-        raise ValidationError("assign_k must be >= 1")
     nodes = pts[furthest_point_sample(pts, coverage)]
     order, weights = assign_points(pts, nodes, assign_k, coverage)
 
-    n, kk = order.shape
-    members = _transpose_assignment(order, nodes.shape[0])
-
+    kk = order.shape[1]
     if kk >= 2:
         cols = list(combinations(range(kk), 2))
         pairs = np.concatenate([np.stack([order[:, a], order[:, b]], axis=1) for a, b in cols])
@@ -169,21 +177,8 @@ def build_graph(cloud, coverage: float, assign_k: int) -> DeformationGraph:
         assign_k=int(assign_k),
         point_to_nodes=order,
         point_weights=weights,
-        node_to_members=members,
         edges=edges.astype(np.int64),
     )
-
-
-def _transpose_assignment(order: np.ndarray, num_nodes: int) -> tuple:
-    """Per-node member lists (ascending point index) from per-point node lists."""
-    n, kk = order.shape
-    flat_nodes = order.ravel()
-    flat_points = np.repeat(np.arange(n, dtype=np.int64), kk)
-    perm = np.argsort(flat_nodes, kind="stable")  # stable keeps point indices ascending per node
-    sorted_nodes = flat_nodes[perm]
-    sorted_points = flat_points[perm]
-    bounds = np.searchsorted(sorted_nodes, np.arange(num_nodes + 1))
-    return tuple(sorted_points[bounds[j]:bounds[j + 1]] for j in range(num_nodes))
 
 
 def member_weights(graph: DeformationGraph, j: int) -> np.ndarray:

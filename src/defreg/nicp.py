@@ -394,7 +394,6 @@ def read_warp_field(path) -> WarpField:
         assign_k=assign_k,
         point_to_nodes=np.zeros((0, min(assign_k, count)), dtype=np.int64),
         point_weights=np.zeros((0, min(assign_k, count))),
-        node_to_members=tuple(np.zeros(0, dtype=np.int64) for _ in range(count)),
         edges=np.zeros((0, 2), dtype=np.int64),
     )
     return WarpField(graph, exp_so3(omegas), translations)

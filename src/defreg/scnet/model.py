@@ -4,8 +4,8 @@ Data flow for one correspondence set:
 
   encode_input      6D coordinates -> 18D low-frequency Fourier features
   init stack        Linear, GroupNorm, LeakyRelu per init width, up to width d
-  embedding blocks  per group of consecutive graph nodes: gather the
-                    nodes' member rows into one stack, run it through the
+  embedding blocks  per group of consecutive graph.patches: gather the
+                    patches' member rows into one stack, run it through the
                     block's attention units, then add each node's output
                     rows, weighted by its members' skinning weights, into
                     the block's blended features node by node (ascending
@@ -53,6 +53,7 @@ logits in both cases.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 from numbers import Integral
 
 import numpy as np
@@ -332,7 +333,7 @@ _GROUP_ENTRIES = 1 << 16
 
 @dataclass(slots=True, eq=False)
 class _Group:
-    """Consecutive non-empty nodes, ascending j, run through each block as
+    """Consecutive graph patches, ascending j, run through each block as
     one stack of their member rows."""
 
     nodes: list          # node indices j, ascending
@@ -348,27 +349,24 @@ class _Group:
 
 
 def _node_groups(graph: DeformationGraph, theta: LocalConsistency, dtype, width: int) -> list:
-    """The non-empty nodes in ascending j, split into groups of at most
-    _GROUP_ENTRIES rows x width entries; every group holds at least one node."""
-    parts, stop = [], 0  # per group: (nodes, global row bounds)
-    for j, members in enumerate(graph.node_to_members):
-        if members.size == 0:
-            continue
+    """The graph's patches in ascending j, split into groups of at most
+    _GROUP_ENTRIES rows x width entries; every group holds at least one patch."""
+    parts, filled = [], 0  # per group: its patches; the last group's rows
+    for j, members, alpha in graph.patches:
         if j not in theta.blocks:
             raise ValidationError(f"consistency blocks missing node {j}")
-        stop += members.size
-        if not parts or (stop - parts[-1][1][0]) * width > _GROUP_ENTRIES:
-            parts.append(([], [stop - members.size]))
-        parts[-1][0].append(j)
-        parts[-1][1].append(stop)
-    # one stable argsort of point_to_nodes lists every node's members in
-    # ascending node, then point, order: node_to_members concatenated, and
-    # point_weights in that order are member_weights concatenated
-    order = np.argsort(graph.point_to_nodes, axis=None, kind="stable")
-    rows = order // graph.point_to_nodes.shape[1]
-    alpha = graph.point_weights.ravel()[order].astype(dtype, copy=False)[:, None]
-    return [_Group(nodes, rows[b[0]:b[-1]], alpha[b[0]:b[-1]], [x - b[0] for x in b])
-            for nodes, b in parts]
+        if not parts or (filled + members.size) * width > _GROUP_ENTRIES:
+            parts.append([])
+            filled = 0
+        parts[-1].append((j, members, alpha))
+        filled += members.size
+    groups = []
+    for part in parts:
+        nodes, members, alphas = zip(*part)
+        groups.append(_Group(list(nodes), np.concatenate(members),
+                             np.concatenate(alphas).astype(dtype, copy=False)[:, None],
+                             [0, *accumulate(m.size for m in members)]))
+    return groups
 
 
 @dataclass(slots=True, eq=False)

@@ -129,15 +129,13 @@ def _consistency_terms(features, graph, labels, sigma_f, want_grad):
     # np.float64 keeps IEEE overflow semantics: a blown-up sigma_f must yield
     # inf/nan for the caller's divergence check, not raise OverflowError here
     sig = np.float64(sigma_f)
-    nonempty = [j for j, m in enumerate(graph.node_to_members) if m.size > 0]
-    if not nonempty:
+    if not graph.patches:
         raise ValidationError("graph has no populated nodes")
-    v_used = len(nonempty)
+    v_used = len(graph.patches)
     total = 0.0
     dhhat = np.zeros_like(hhat) if want_grad else None
     dsigma = 0.0
-    for j in nonempty:
-        members = graph.node_to_members[j]
+    for _, members, _ in graph.patches:
         block = hhat[members]
         # |a - b|^2 = 2 - 2 a.b for unit rows, to within a few ulp
         d2 = np.maximum(2.0 - 2.0 * (block @ block.T), 0.0)

@@ -1,10 +1,15 @@
 """End-to-end command-line pipeline: synth -> train -> prune -> register -> eval."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import defreg
 from defreg.cli import main
 from defreg.config import PipelineConfig, scnet_config
 from defreg.consistency import CorrespondenceSet, write_corr_csv
@@ -12,6 +17,7 @@ from defreg.geometry import PointCloud
 from defreg.pointcloud_io import write_ply
 from defreg.scnet.model import ScNetConfig, ScNetModel
 from defreg.scnet.params_io import save_params
+from defreg.synth import SceneSpec, generate_scene
 
 SCENE_SPEC = {
     "point_count": 60,
@@ -254,6 +260,40 @@ def test_prune_float32_overflow_exits_3(tmp_path, capsys):
     assert code == 3
     assert "scoring: non-finite logit" in capsys.readouterr().err
     assert not (tmp_path / "p.csv").exists()
+
+
+def _prune_with_blas_threads(tmp_path, threads, args):
+    """Run `defreg prune` in a fresh process with BLAS held to `threads`;
+    return the kept rows' coordinates (header first) and the scores."""
+    out = tmp_path / f"threads{threads}"
+    out.mkdir()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        str(Path(defreg.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")))))
+    env.update({name: str(threads) for name in
+                ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
+    subprocess.run([sys.executable, "-m", "defreg.cli", *args, "--out", str(out / "kept.csv")],
+                   env=env, check=True, capture_output=True)
+    rows = [line.split(",")[:6] for line in (out / "kept.csv").read_text().splitlines()]
+    return rows, np.loadtxt(out / "scores.csv", delimiter=",", skiprows=1)[:, 1]
+
+
+def test_prune_kept_rows_do_not_depend_on_blas_thread_count(tmp_path):
+    # the determinism contract holds per BLAS thread count: the scores of
+    # the untrained default 256-d model move in their last float32 bits
+    # between 1 and 2 threads, but the kept rows stay the same
+    spec = SceneSpec(point_count=2000, surface="two-lobe", warp_kind="smooth-graph",
+                     warp_magnitude=(0.2, 0.05), inlier_ratio=0.5, inlier_noise_std=0.005, seed=0)
+    write_corr_csv(tmp_path / "corr.csv", generate_scene(spec)[3])
+    save_params(tmp_path / "model.bin", ScNetModel(scnet_config(PipelineConfig())))
+    # 0.459 sits in a 1.9e-4 gap between two scores near the 65th percentile
+    config = _write_json(tmp_path / "config.json", {"score_threshold": 0.459})
+    args = ["--config", config, "prune", "--corr", str(tmp_path / "corr.csv"),
+            "--model", str(tmp_path / "model.bin")]
+    rows1, scores1 = _prune_with_blas_threads(tmp_path, 1, args)
+    rows2, scores2 = _prune_with_blas_threads(tmp_path, 2, args)
+    assert 1 < len(rows1) < 2001  # the header, and some but not all rows
+    assert rows1 == rows2
+    np.testing.assert_allclose(scores2, scores1, rtol=0, atol=1e-6)
 
 
 def test_prune_rejects_mismatched_model(tmp_path, mini_dataset, config_path, capsys):

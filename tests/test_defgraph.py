@@ -1,4 +1,9 @@
-"""Deformation-graph construction: sampling, skinning, assignment, edges."""
+"""Deformation-graph construction: sampling, skinning, assignment, edges,
+and the per-node patches the graph derives from its assignment."""
+
+import ast
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +18,9 @@ from defreg.defgraph import (
 )
 from defreg.errors import NumericalError, ValidationError
 from defreg.geometry import PointCloud
+from defreg.nicp import WarpField, read_warp_field, write_warp_field
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "defreg"
 
 
 def _random_cloud(seed=0, n=200, scale=1.0):
@@ -165,6 +173,86 @@ def test_member_weights_align_with_assignment():
             assert w[idx] == graph.point_weights[i, col]
 
 
+def _patch_ids(graph):
+    return [j for j, _, _ in graph.patches]
+
+
+@pytest.mark.parametrize("assign_k", [1, 3, 6])
+def test_patches_match_member_weights_and_assignment_mask(assign_k):
+    graph = build_graph(_random_cloud(22, 300, 1.0), 0.2, assign_k)
+    owners = [j for j in range(graph.num_nodes) if (graph.point_to_nodes == j).any()]
+    assert _patch_ids(graph) == owners
+    for j, members, alpha in graph.patches:
+        mask = graph.point_to_nodes == j
+        assert members.dtype == np.int64
+        assert members.tobytes() == np.flatnonzero(mask.any(axis=1)).tobytes()
+        assert members.tobytes() == graph.node_to_members[j].tobytes()
+        assert alpha.tobytes() == graph.point_weights[mask].tobytes()
+        assert alpha.tobytes() == member_weights(graph, j).tobytes()
+
+
+def test_node_without_points_has_no_patch(tmp_path):
+    graph = build_graph(_random_cloud(24, 150, 1.0), 0.25, 6)
+    # one more node, far from every point: it owns none of them
+    far = graph.nodes.max(axis=0) + 10.0
+    wider = replace(graph, nodes=np.vstack([graph.nodes, far]))
+    assert len(wider.node_to_members) == graph.num_nodes + 1
+    assert wider.node_to_members[-1].size == 0
+    assert _patch_ids(wider) == _patch_ids(graph)
+    for (_, m0, a0), (_, m1, a1) in zip(graph.patches, wider.patches):
+        assert m0.tobytes() == m1.tobytes() and a0.tobytes() == a1.tobytes()
+    # a field read back from a file carries a node-only graph
+    rot = np.broadcast_to(np.eye(3), (graph.num_nodes, 3, 3))
+    write_warp_field(tmp_path / "warp.txt", WarpField(graph, rot, np.zeros((graph.num_nodes, 3))))
+    nodes_only = read_warp_field(tmp_path / "warp.txt").graph
+    assert [m.size for m in nodes_only.node_to_members] == [0] * graph.num_nodes
+    assert nodes_only.patches == ()
+
+
+def test_replace_rederives_the_patches():
+    graph = build_graph(_random_cloud(26, 120, 1.0), 0.3, 3)
+    half = replace(graph, point_to_nodes=graph.point_to_nodes[::2],
+                   point_weights=graph.point_weights[::2])
+    for j, members, alpha in half.patches:
+        assert members.tobytes() == np.flatnonzero((half.point_to_nodes == j).any(axis=1)).tobytes()
+        assert alpha.tobytes() == member_weights(half, j).tobytes()
+    assert sum(m.size for m in half.node_to_members) == half.point_to_nodes.size
+    with pytest.raises(ValueError):
+        replace(graph, node_to_members=graph.node_to_members)
+
+
+def _patch_derivations(tree, exempt_function=None):
+    """Line numbers that read .node_to_members or argsort point_to_nodes,
+    outside the named top-level function."""
+    exempt = {id(n) for top in tree.body if isinstance(top, ast.FunctionDef)
+              and top.name == exempt_function for n in ast.walk(top)}
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr == "node_to_members":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and "argsort" in (
+                getattr(node.func, "attr", None), getattr(node.func, "id", None)) and any(
+                "point_to_nodes" in (getattr(n, "attr", None), getattr(n, "id", None))
+                for n in ast.walk(node)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_defgraph_derives_node_patches():
+    # aggregate, the blend's bitwise oracle, reads node_to_members on purpose
+    exempt = {Path("scnet", "model.py"): "aggregate"}
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC)
+        if rel == Path("defgraph.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += [f"{rel}:{line}" for line in _patch_derivations(tree, exempt.get(rel))]
+    assert offenders == []
+
+
 def test_coverage_property_after_build():
     cloud = _random_cloud(14, 400, 1.0)
     coverage = 0.3
@@ -193,7 +281,7 @@ def _two_node_graph(weights):
     return DeformationGraph(
         nodes=np.array([[0.0, 0, 0], [1.0, 0, 0]]), coverage=0.5, assign_k=2,
         point_to_nodes=np.array([[0, 1]]), point_weights=np.array([weights]),
-        node_to_members=(np.array([0]), np.array([0])), edges=np.array([[0, 1]]))
+        edges=np.array([[0, 1]]))
 
 
 @pytest.mark.parametrize("weights", [[1.0, np.nan], [np.nan, np.nan], [1.25, -0.25], [0.5, 0.6]])

@@ -227,8 +227,7 @@ def test_schur_step_equals_dense_damped_solve(assign_k):
     # one more node, far from every correspondence and on no edge: its rows
     # of J^T J are zero, so only the damping keeps the system regular
     far = graph.nodes.max(axis=0) + 10.0
-    graph = replace(graph, nodes=np.vstack([graph.nodes, far]),
-                    node_to_members=graph.node_to_members + (np.zeros(0, dtype=np.int64),))
+    graph = replace(graph, nodes=np.vstack([graph.nodes, far]))
     field = WarpField(graph, np.concatenate([field.rotations, exp_so3([[0.1, 0.2, 0.3]])]),
                       np.vstack([field.translations, [0.1, 0.0, 0.0]]))
     cfg = SolverConfig(lambda_corr=25.0, lambda_reg=0.7)
