@@ -10,7 +10,6 @@ owning graph's coverage radius in both cases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -162,22 +161,18 @@ def build_graph(cloud, coverage: float, assign_k: int) -> DeformationGraph:
     nodes = pts[furthest_point_sample(pts, coverage)]
     order, weights = assign_points(pts, nodes, assign_k, coverage)
 
-    kk = order.shape[1]
-    if kk >= 2:
-        cols = list(combinations(range(kk), 2))
-        pairs = np.concatenate([np.stack([order[:, a], order[:, b]], axis=1) for a, b in cols])
-        pairs = np.sort(pairs, axis=1)
-        edges = np.unique(pairs, axis=0)
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
-
+    # every pair of a point's nodes, keyed lo * V + hi: unique keys in
+    # ascending order are the edges in lexicographic order
+    a, b = np.triu_indices(order.shape[1], 1)
+    first, second = order[:, a], order[:, b]
+    keys = np.unique((np.minimum(first, second) * len(nodes) + np.maximum(first, second)).ravel())
     return DeformationGraph(
         nodes=nodes,
         coverage=float(coverage),
         assign_k=int(assign_k),
         point_to_nodes=order,
         point_weights=weights,
-        edges=edges.astype(np.int64),
+        edges=np.stack(np.divmod(keys, len(nodes)), axis=1),
     )
 
 

@@ -167,13 +167,16 @@ def furthest_point_sample(cloud, coverage: float) -> np.ndarray:
         raise ValidationError("empty cloud")
     if coverage <= 0:
         raise ValidationError("coverage must be positive")
+    # per coordinate, summed x, y, z in order: the bits of np.sum over the
+    # last axis, without the (n, 3) temporary
+    cols = pts.T.copy()
     selected = [0]
-    dist2 = np.sum((pts - pts[0]) ** 2, axis=1)
+    dist2 = sum((cols[a] - cols[a, 0]) ** 2 for a in range(3))
     cov2 = float(coverage) * float(coverage)  # a float product rounds to inf, where ** raises
     while True:
         far = int(np.argmax(dist2))  # argmax takes the first max: lowest index wins ties
         if dist2[far] <= cov2:
             break
         selected.append(far)
-        dist2 = np.minimum(dist2, np.sum((pts - pts[far]) ** 2, axis=1))
+        dist2 = np.minimum(dist2, sum((cols[a] - cols[a, far]) ** 2 for a in range(3)))
     return np.asarray(selected, dtype=np.int64)

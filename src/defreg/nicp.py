@@ -22,9 +22,12 @@ than in correspondences times k^2. The translation block of J^T J does
 not depend on the field, so its damped inverse is factored once per
 solve too; each step solves only the 3V x 3V Schur complement for the
 rotations and back-substitutes for the translations (the reduced system
-of bundle adjustment). `residuals` and `jacobian` build the full dense
-residual vector and Jacobian and are the reference the solver is tested
-against.
+of bundle adjustment). The Schur complement needs the mixed block
+whitened by that factor. Since skew(R m) = R skew(m) R^T, the whitened
+lever moments are also computed once per solve, and each step only turns
+them by the per-node Kronecker products R_a (x) R_a. `residuals` and
+`jacobian` build the full dense residual vector and Jacobian and are the
+reference the solver is tested against.
 """
 
 from __future__ import annotations
@@ -176,8 +179,11 @@ class _Problem:
     W_ab = sum c_a c_b, m_ab = sum c_a c_b q_a and M_ab = sum c_a c_b q_b q_a^T
     fix every block of J^T J up to the current rotations. The translation
     block is W (x) I3, with W the V x V matrix of the W_ab; it does not
-    depend on the field at all, so the damped W + marquardt I is factored
-    here, once.
+    depend on the field at all, so the damped W + marquardt I = L L^T is
+    factored here, once. The mixed block B_ab = skew(R_a m_ab) enters each
+    step whitened, as G = B (I3 (x) L^-T); with skew(R m) = R skew(m) R^T,
+    G[a] = (R_a (x) R_a) H[a] for the field-free whitened lever moments
+    H[a, k, l, b'] = sum_b skew(m_ab)[k, l] L^-1[b', b], also computed here.
     """
 
     config: SolverConfig
@@ -188,9 +194,9 @@ class _Problem:
     term_levers: np.ndarray   # (T, 3) q
     pairs: np.ndarray         # (P, 2) node pairs (a, b) sharing a residual
     pair_weights: np.ndarray  # (P,) W_ab
-    pair_levers: np.ndarray   # (P, 3) m_ab
     pair_moments: np.ndarray  # (P, 3, 3) M_ab
     whitener: np.ndarray      # (V, V) L^-1, where W + marquardt I = L L^T
+    whitened_levers: np.ndarray  # (V, 9, V) H, row k * 3 + l
 
 
 def _problem(graph: DeformationGraph, corr: CorrespondenceSet,
@@ -227,13 +233,16 @@ def _problem(graph: DeformationGraph, corr: CorrespondenceSet,
         whitener = np.linalg.inv(np.linalg.cholesky(damped))
     except np.linalg.LinAlgError as exc:
         raise NumericalError("solver breakdown: translation block is not positive definite") from exc
+    levers = np.zeros((v, 3, 3, v))
+    levers[pairs[:, 0], :, :, pairs[:, 1]] = skew(sums[:, 1:4])
     term_nodes, term_coefs, term_levers = (
         np.concatenate([g[i].reshape(-1, *g[i].shape[2:]) for g in groups]) for i in range(3))
     term_rows = np.concatenate([np.repeat(np.arange(n), order.shape[1]),
                                 np.repeat(n + np.arange(len(edges)), 2)])
     offsets = np.concatenate([sc * corr.target, np.zeros((len(edges), 3))])
     return _Problem(config, offsets, term_rows, term_nodes, term_coefs, term_levers, pairs,
-                    sums[:, 0], sums[:, 1:4], sums[:, 4:].reshape(-1, 3, 3), whitener)
+                    sums[:, 0], sums[:, 4:].reshape(-1, 3, 3), whitener,
+                    (levers.reshape(9 * v, v) @ whitener.T).reshape(v, 9, v))
 
 
 class _Iterate(NamedTuple):
@@ -260,26 +269,26 @@ def _evaluate(field: WarpField, problem: _Problem) -> _Iterate:
 
 def _normal_equations(problem: _Problem, at: _Iterate):
     """J^T J = [[A, B], [B^T, W (x) I3]] and J^T r at an iterate, from the
-    node-pair moments. Returns A (3V, 3V); B (3V, 3V) with its translation
-    columns ordered by component (x of every node, then y, then z), so that
-    W (x) I3 acts on them as three copies of W; and J^T r (6V,) in
-    `jacobian`'s order."""
+    node-pair moments. Returns A's (3, 3) block of every node pair (a, b)
+    in `problem.pairs`, A being zero elsewhere; the whitened mixed block
+    G = B (I3 (x) L^-T) (3V, 3V), with its translation columns ordered by
+    component (x of every node, then y, then z), as the step's
+    back-substitution reads them; and J^T r (6V,) in `jacobian`'s order."""
     rot = at.field.rotations
     v = len(rot)
     a, b = problem.pairs[:, 0], problem.pairs[:, 1]
     # skew(R_a q_a)^T skew(R_b q_b) = (l_a . l_b) I - l_b l_a^T, summed over the pair
     t = rot[b] @ problem.pair_moments @ rot[a].transpose(0, 2, 1)
-    rotation = np.zeros((v, 3, v, 3))
-    rotation[a, :, b, :] = np.trace(t, axis1=1, axis2=2)[:, None, None] * np.eye(3) - t
-    mixed = np.zeros((v, 3, 3, v))
-    mixed[a, :, :, b] = skew(np.einsum("pij,pj->pi", rot[a], problem.pair_levers))
+    rotation = np.trace(t, axis1=1, axis2=2)[:, None, None] * np.eye(3) - t
+    # (R_a (x) R_a)[i * 3 + c, k * 3 + l] = R_a[i, k] R_a[c, l]
+    turns = (rot[:, :, None, :, None] * rot[:, None, :, None, :]).reshape(v, 9, 9)
+    whitened = (turns @ problem.whitened_levers).reshape(3 * v, 3 * v)
     r = at.residuals[problem.term_rows]
     # d r / d w_j = -c skew(l), d r / d dt_j = c I
     terms = problem.term_coefs[:, None] * np.concatenate([np.cross(at.levers, r), r], axis=1)
     gradient = np.stack([np.bincount(problem.term_nodes, terms[:, i], minlength=v)
                          for i in range(6)], axis=1)
-    return (rotation.reshape(3 * v, 3 * v), mixed.reshape(3 * v, 3 * v),
-            np.concatenate([gradient[:, :3].ravel(), gradient[:, 3:].ravel()]))
+    return rotation, whitened, np.concatenate([gradient[:, :3].ravel(), gradient[:, 3:].ravel()])
 
 
 def _step_vector(problem: _Problem, at: _Iterate) -> np.ndarray:
@@ -287,11 +296,12 @@ def _step_vector(problem: _Problem, at: _Iterate) -> np.ndarray:
     S = A + mu I - B (I3 (x) (W + mu I)^-1) B^T, then the translations by
     back-substitution. With W + mu I = L L^T and G = B (I3 (x) L^-T),
     S = A + mu I - G G^T."""
-    rotation, mixed, gradient = _normal_equations(problem, at)
+    rotation, whitened, gradient = _normal_equations(problem, at)
     whitener = problem.whitener
     v = len(whitener)
-    whitened = (mixed.reshape(9 * v, v) @ whitener.T).reshape(3 * v, 3 * v)
-    schur = rotation - whitened @ whitened.T
+    schur = -(whitened @ whitened.T)
+    # the pairs are unique, so this adds each of A's blocks once
+    schur.reshape(v, 3, v, 3)[problem.pairs[:, 0], :, problem.pairs[:, 1], :] += rotation
     schur[np.diag_indices_from(schur)] += problem.config.marquardt
     g_w = gradient[: 3 * v]
     g_t = (gradient[3 * v:].reshape(v, 3).T @ whitener.T).ravel()  # (I3 (x) L^-1) J_t^T r

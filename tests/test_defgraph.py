@@ -3,6 +3,7 @@ and the per-node patches the graph derives from its assignment."""
 
 import ast
 from dataclasses import replace
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,17 @@ def test_edges_match_brute_force_co_assignment():
     assert (graph.edges[:, 0] < graph.edges[:, 1]).all()
     as_list = [tuple(e) for e in graph.edges]
     assert as_list == sorted(as_list)
+
+
+@pytest.mark.parametrize("assign_k", [2, 3, 6])
+def test_edges_equal_unique_sorted_node_pairs(assign_k):
+    graph = build_graph(_random_cloud(4, 300, 1.0), 0.2, assign_k)
+    order = graph.point_to_nodes
+    pairs = np.concatenate([order[:, [a, b]] for a, b in combinations(range(order.shape[1]), 2)])
+    want = np.unique(np.sort(pairs, axis=1), axis=0)
+    assert len(want) > graph.num_nodes
+    assert graph.edges.dtype == np.int64
+    np.testing.assert_array_equal(graph.edges, want)
 
 
 def _skin(point, nodes, bandwidth):

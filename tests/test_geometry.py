@@ -1,5 +1,7 @@
 """Point clouds, rotation helpers and furthest point sampling."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -141,3 +143,28 @@ def test_fps_tie_breaks_to_first_occurrence():
     cloud = PointCloud(np.array([[0.0, 0, 0], [-1.0, 0, 0], [1.0, 0, 0]]))
     nodes = furthest_point_sample(cloud, 0.6)
     assert nodes[1] == 1
+
+
+def _fps_reference(points, coverage):
+    """Furthest point sampling on np.sum's squared distances."""
+    selected = [0]
+    dist2 = np.sum((points - points[0]) ** 2, axis=1)
+    while dist2.max() > coverage * coverage:
+        selected.append(int(np.argmax(dist2)))
+        dist2 = np.minimum(dist2, np.sum((points - points[selected[-1]]) ** 2, axis=1))
+    return selected
+
+
+def test_fps_selection_matches_summed_reference_with_ties():
+    # from the origin, the six orderings of a triple are equidistant, and
+    # summing their squares in another order than x, y, z changes which one
+    # rounds farthest; a lattice and repeated rows add exact ties and
+    # duplicate points, which the first maximum must break
+    triples = np.random.default_rng(5).random((30, 3))
+    orderings = triples[:, list(permutations(range(3)))].reshape(-1, 3)
+    ax = np.arange(6) * 0.1
+    lattice = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
+    points = np.concatenate([np.zeros((1, 3)), orderings, lattice, lattice[::7]])
+    for coverage in (0.05, 0.15, 0.6):
+        nodes = furthest_point_sample(PointCloud(points), coverage)
+        assert list(nodes) == _fps_reference(points, coverage)

@@ -204,20 +204,26 @@ def test_block_normal_equations_equal_dense_products(assign_k):
     _, corr, graph, field = _bent_instance(3, assign_k)
     cfg = SolverConfig(lambda_corr=25.0, lambda_reg=0.7)
     problem = nicp._problem(graph, corr, cfg)
-    rotation, mixed, gradient = nicp._normal_equations(problem, nicp._evaluate(field, problem))
+    rotation, whitened, gradient = nicp._normal_equations(problem, nicp._evaluate(field, problem))
     v = graph.num_nodes
-    # mixed orders its translation columns by component, jacobian by node
-    mixed = mixed.reshape(3 * v, 3, v).transpose(0, 2, 1).reshape(3 * v, 3 * v)
+    a, b = problem.pairs[:, 0], problem.pairs[:, 1]
+    dense_rotation = np.zeros((v, 3, v, 3))
+    dense_rotation[a, :, b, :] = rotation
     weights = np.zeros((v, v))
-    weights[problem.pairs[:, 0], problem.pairs[:, 1]] = problem.pair_weights
-    normal = np.block([[rotation, mixed], [mixed.T, np.kron(weights, np.eye(3))]])
+    weights[a, b] = problem.pair_weights
     jac = jacobian(field, corr, graph.edges, cfg)
     r = residuals(field, corr, graph.edges, cfg)
-    for block, dense in ((normal, jac.T @ jac), (gradient, jac.T @ r)):
+    normal = jac.T @ jac
+    # G = J_rot^T J_trans with its columns ordered by component, times I3 (x) L^-T
+    mixed = normal[:3 * v, 3 * v:].reshape(3 * v, v, 3).transpose(0, 2, 1).reshape(3 * v, 3 * v)
+    whitener = problem.whitener
+    for block, dense in ((dense_rotation.reshape(3 * v, 3 * v), normal[:3 * v, :3 * v]),
+                         (np.kron(weights, np.eye(3)), normal[3 * v:, 3 * v:]),
+                         (whitened, mixed @ np.kron(np.eye(3), whitener.T)),
+                         (gradient, jac.T @ r)):
         assert block.shape == dense.shape
         assert np.abs(block - dense).max() <= 1e-12 * np.abs(dense).max()
     damped = weights + cfg.marquardt * np.eye(v)
-    whitener = problem.whitener
     np.testing.assert_allclose(whitener @ damped @ whitener.T, np.eye(v), atol=1e-12)
 
 
