@@ -104,22 +104,30 @@ def pairwise_consistency(c_i, c_j, sigma_d: float) -> float:
     return float(np.maximum(0.0, val))
 
 
-def _pairwise_distances(p: np.ndarray) -> np.ndarray:
+def _pairwise_distances(p: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     # per coordinate, summed x, y, z in order: the bits of summing the
     # squares over the last axis, without the (M, M, 3) temporaries
-    acc = np.zeros((p.shape[0], p.shape[0]))
-    for a in range(3):
-        d = p[:, None, a] - p[None, :, a]
-        acc += d * d
-    return np.sqrt(acc)
+    np.subtract(p[:, None, 0], p[None, :, 0], out=out)
+    out *= out
+    for a in (1, 2):
+        np.subtract(p[:, None, a], p[None, :, a], out=scratch)
+        scratch *= scratch
+        out += scratch
+    return np.sqrt(out, out=out)
 
 
 def _block_consistency(src: np.ndarray, tgt: np.ndarray, sigma_d: float) -> np.ndarray:
-    dx = _pairwise_distances(src)
-    dy = _pairwise_distances(tgt)
-    delta = np.abs(dx - dy)
-    val = 1.0 - (delta * delta) / (sigma_d * sigma_d)
-    return np.maximum(0.0, val)
+    """[1 - (|dx - dy| / sigma_d)^2]_+, built in place in the source
+    distances; both distance sums share one scratch block."""
+    m = src.shape[0]
+    scratch = np.empty((m, m))
+    val = _pairwise_distances(src, np.empty((m, m)), scratch)
+    val -= _pairwise_distances(tgt, np.empty((m, m)), scratch)
+    np.abs(val, out=val)
+    val *= val
+    val /= sigma_d * sigma_d
+    np.subtract(1.0, val, out=val)
+    return np.maximum(0.0, val, out=val)
 
 
 def local_consistency(corr: CorrespondenceSet, graph: DeformationGraph, sigma_d: float) -> LocalConsistency:

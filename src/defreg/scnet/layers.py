@@ -10,8 +10,10 @@ across graph nodes).
 Every layer computes in the dtype of its input and parameters: float64
 when the model is constructed and trained, float32 when it is loaded from
 a parameter file (which stores float32) and only scored. Constants are
-Python floats so that they never promote a float32 pass. Gradient formulas follow the usual identities; the
-normalization backward is
+Python floats so that they never promote a float32 pass. LeakyRelu is
+branch-free: forward and backward multiply by a per-entry factor looked up
+from the sign mask, not select between two arrays. Gradient formulas follow
+the usual identities; the normalization backward is
 
     dx = (g - mean(g) - xhat * mean(g * xhat)) / std,   g = dy * gamma
 
@@ -51,17 +53,24 @@ class Linear:
 
 
 class LeakyRelu:
-    """max(x, slope*x); stateless apart from the slope."""
+    """x where x > 0, else slope*x; stateless apart from the slope.
+
+    Both passes multiply by 1 or slope, taken from the mask's bytes: bitwise
+    np.where(pos, x, slope * x) for every slope and special value. Not
+    np.maximum(x, slope * x), which at slope 0 turns +inf into NaN (0 * inf)."""
 
     def __init__(self, slope: float = 0.01):
         self.slope = float(slope)
 
+    def _scale(self, x, pos):
+        return x * np.take(np.array([self.slope, 1.0], x.dtype), pos.view(np.uint8))
+
     def forward(self, x):
         pos = x > 0
-        return np.where(pos, x, self.slope * x), pos
+        return self._scale(x, pos), pos
 
     def backward(self, cache, dy):
-        return np.where(cache, dy, self.slope * dy)
+        return self._scale(dy, cache)
 
     def params(self):
         return []
@@ -89,7 +98,8 @@ class GroupNorm:
         var = (xhat ** 2).mean(axis=2, keepdims=True)
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat *= inv_std
-        y = xhat.reshape(n, c) * self.gamma + self.beta
+        y = xhat.reshape(n, c) * self.gamma
+        y += self.beta
         return y, (xhat, inv_std)
 
     def backward(self, cache, dy):

@@ -38,9 +38,9 @@ on layers. Only a forward that will be differentiated keeps them:
 run_forward(..., keep_tape=True) records every cache in a Tape, together
 with each group's members and skinning-weight column as the pass used
 them, so backward_through replays it in reverse without the graph.
-Without the tape each cache is dropped once the next layer has consumed
-its output, so an inference forward holds one group's intermediates at a
-time instead of a tape that grows with every unit of every group.
+Without the tape each cache is dropped as soon as its layer returns, so
+an inference forward holds one layer's intermediates at a time instead of
+a tape that grows with every unit of every group.
 
 The pass computes in the dtype of the model's parameters: float64 for a
 constructed model (training and its gradient checks), float32 for one
@@ -166,7 +166,10 @@ class ScaUnit:
         mixed = np.empty_like(v)
         attns = []
         for (a, b), theta in zip(spans, thetas):
-            attn = softmax_rows(theta * (q[a:b] @ k[a:b].T) * self.inv_sqrt_d)
+            logits = q[a:b] @ k[a:b].T
+            logits *= theta
+            logits *= self.inv_sqrt_d
+            attn = softmax_rows(logits)
             np.matmul(attn, v[a:b], out=mixed[a:b])
             attns.append(attn)
         proj, c_proj = self.attn_out.forward(mixed)
@@ -268,7 +271,10 @@ class ScNetModel:
 
     def install_params(self, values) -> None:
         """Replace every parameter array, in params() order, by the given
-        array itself (not a copy), so the model takes on its dtype."""
+        array itself (not a copy), so the model takes on its dtype. Each
+        gradient (the parameter's name with a "g" in front) becomes a
+        read-only zero view that owns no memory: load_params installs
+        float32 parameters, which training refuses."""
         slots = [(layer, n) for _, layer in self._layers() for n, _, _ in layer.params()]
         slots.append((self, "sigma_f"))
         for (owner, name), value in zip(slots, values, strict=True):
@@ -276,9 +282,12 @@ class ScNetModel:
             for step in path:
                 owner = getattr(owner, step)
             setattr(owner, attr, value)
+            setattr(owner, "g" + attr, np.broadcast_to(np.zeros((), value.dtype), value.shape))
 
     def zero_grad(self):
         for _, _, grad in self.params():
+            if not grad.flags.writeable:
+                raise ValidationError("a model loaded from a parameter file holds no gradient buffers")
             grad[...] = 0.0
 
     def param_vector(self) -> np.ndarray:
@@ -396,6 +405,7 @@ def _forward(layers, x, caches, *args):
         x, cache = layer.forward(x, *args)
         if caches is not None:
             caches.append(cache)
+        del cache  # without caches, the layer's input and intermediates go now
     return x
 
 

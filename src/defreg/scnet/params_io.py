@@ -22,7 +22,9 @@ the model.
 load_params installs the stored float32 tensors as the model's parameters
 (writable copies the model owns), so a loaded model scores in float32;
 widening them to float64 would add no information. Training refuses such
-a model. Optimizer state is returned widened to float64.
+a model, so its gradients are read-only zeros that own no memory, and the
+constructor's float64 gradient buffers are freed. Optimizer state is
+returned widened to float64.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import pytest
 
 from defreg.consistency import (
     CorrespondenceSet,
+    _block_consistency,
     local_consistency,
     pairwise_consistency,
     read_corr_csv,
@@ -181,3 +182,20 @@ def test_corr_csv_rejects_malformed(tmp_path, text, fragment):
     path.write_bytes(text.encode("latin-1"))
     with pytest.raises(FileFormatError, match=fragment):
         read_corr_csv(path)
+
+
+def test_block_consistency_matches_allocating_formula_bitwise():
+    """The in-place block equals the (M, M, 3) difference formula bit for bit."""
+    rng = np.random.default_rng(8)
+    src = rng.uniform(-1.0, 1.0, size=(500, 3))
+    tgt = src + rng.normal(scale=0.05, size=src.shape)
+    sigma_d = 0.08
+
+    def distances(p):
+        return np.sqrt(((p[:, None, :] - p[None, :, :]) ** 2).sum(axis=2))
+
+    delta = np.abs(distances(src) - distances(tgt))
+    want = np.maximum(0.0, 1.0 - (delta * delta) / (sigma_d * sigma_d))
+    got = _block_consistency(src, tgt, sigma_d)
+    assert got.dtype == np.float64 and 0.0 < got.mean() < 1.0
+    np.testing.assert_array_equal(got, want)

@@ -1,6 +1,7 @@
 """Network layers, attention blocks, forward pass, and parameter files."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from defreg.scnet.model import (
     aggregate,
     backward_through,
     classify,
+    _forward,
     _node_groups,
     encode_input,
     run_forward,
@@ -149,6 +151,29 @@ def test_leaky_relu_forward_and_backward():
     y, cache = act.forward(x)
     np.testing.assert_array_equal(y, [[-0.02, 0.5]])
     np.testing.assert_array_equal(act.backward(cache, np.ones((1, 2))), [[0.01, 1.0]])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("slope", [0.0, 0.01, 1.0, 2.0])
+def test_leaky_relu_is_bitwise_the_select(slope, dtype):
+    """Both passes equal np.where(x > 0, x, slope * x) bit for bit, signs of
+    zeros and NaNs included; at slope 0, +inf stays +inf."""
+    rng = np.random.default_rng(5)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-45, -1e-45])
+    x = np.concatenate([special, rng.normal(size=200) * 10.0 ** rng.integers(-30, 30, 200)])
+    x = x.astype(dtype)[None, :]
+    dy = rng.permutation(x[0])[None, :]
+    act = LeakyRelu(slope)
+    pos = x > 0
+    with np.errstate(invalid="ignore"):  # slope 0 times inf
+        y, cache = act.forward(x)
+        dx = act.backward(cache, dy)
+        pairs = ((y, np.where(pos, x, slope * x)), (dx, np.where(pos, dy, slope * dy)))
+    for got, want in pairs:
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    assert y[0, 2] == np.inf
 
 
 def test_softmax_rows_and_backward():
@@ -571,6 +596,33 @@ def test_tape_free_forward_memory_is_bounded():
             tracemalloc.stop()
         del state
     assert peaks[False] < peaks[True] / 10
+
+
+def test_tape_free_forward_drops_each_cache_as_its_layer_returns():
+    """Without a caches list, layer 1's cache is gone before layer 2 runs;
+    with one, every cache stays alive."""
+
+    class Sentinel:
+        pass
+
+    class Stub:
+        def __init__(self, log):
+            self.log = log
+
+        def forward(self, x):
+            self.log.append([ref() is not None for ref in refs])
+            sentinel = Sentinel()
+            refs.append(weakref.ref(sentinel))
+            return x + 1.0, sentinel
+
+    for caches in (None, []):
+        refs, log = [], []
+        assert _forward([Stub(log), Stub(log), Stub(log)], np.zeros(2), caches)[0] == 3.0
+        if caches is None:
+            assert log == [[], [False], [False, False]]
+        else:
+            assert log == [[], [True], [True, True]] and len(caches) == 3
+            assert all(ref() is not None for ref in refs)
 
 
 def test_head_without_hidden_layer_builds_and_scores():

@@ -356,6 +356,27 @@ def test_training_refuses_loaded_float32_model(tmp_path):
     np.testing.assert_array_equal(model.param_vector(), before)
 
 
+def test_loaded_model_holds_read_only_zero_gradients(tmp_path):
+    """A loaded model's gradients own no memory: zero-strided read-only
+    zeros of each parameter's dtype. zero_grad says why it cannot run, and
+    training still refuses the model by its dtype."""
+    path = tmp_path / "m.params"
+    save_params(path, _micro_model(seed=2))
+    model = _micro_model()
+    load_params(path, model)
+    for name, value, grad in model.params():
+        assert grad.shape == value.shape and grad.dtype == value.dtype == np.float32, name
+        assert not grad.flags.writeable and all(s == 0 for s in grad.strides), name
+    vec = model.grad_vector()
+    assert vec.size == model.param_vector().size and not vec.any()
+    with pytest.raises(ValidationError, match="loaded from a parameter file holds no gradient buffers"):
+        model.zero_grad()
+    with pytest.raises(ValidationError, match="float64 parameters; this model holds float32"):
+        backward(model, make_check_scene(0))
+    with pytest.raises(ValidationError, match="float64 parameters"):
+        train(model, _tiny_dataset(2), TrainConfig(epochs=1, learning_rate=1e-3))
+
+
 def test_saved_model_prunes_like_the_model_train_produced(tmp_path):
     """The README's small model, trained on fewer scenes and epochs: the
     saved and loaded (float32) model keeps the same correspondences as the
