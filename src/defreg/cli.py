@@ -55,7 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="directory of scene bundle subdirectories")
     p.add_argument("--out", required=True, help="output model parameter file")
     p.add_argument("--loss-log", help="loss CSV path (default: <out>.loss.csv)")
-    p.add_argument("--checkpoint", help="also save parameters with optimizer state")
 
     p = sub.add_parser("prune", help="score correspondences and keep predicted inliers")
     p.add_argument("--corr", required=True, help="correspondence CSV")
@@ -154,10 +153,8 @@ def _cmd_train(args, config: PipelineConfig) -> int:
             corr, config.prune_coverage, config.prune_assign_k, config.consistency_sigma
         ))
     model = ScNetModel(scnet_config(config))
-    log, optimizer_state = train(model, dataset, train_config(config))
+    log, _ = train(model, dataset, train_config(config))
     save_params(args.out, model)
-    if args.checkpoint:
-        save_params(args.checkpoint, model, optimizer_state)
     write_loss_log(args.loss_log or args.out + ".loss.csv", log)
     final = log[-1]
     print(f"trained on {len(dataset)} scenes for {len(log)} epochs; "

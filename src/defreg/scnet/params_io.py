@@ -7,11 +7,8 @@ Layout:
     u32 LE    descriptor length in bytes
     ...       descriptor: UTF-8 JSON of the architecture (sorted keys)
     ...       parameter tensors in declaration order, little-endian f32
-    [optional checkpoint section]
-    8 bytes   tag b"ADAMSTAT"
-    u32 LE    section version (1)
-    u64 LE    optimizer step count
-    ...       Adam m then v tensors, same order/layout as the parameters
+
+Nothing follows the last tensor; any byte after it is an error.
 
 The descriptor pins the architecture (widths, block counts, group count,
 activation slope), not the init seed: a file may be loaded into any model
@@ -19,12 +16,15 @@ instance compiled with the same architecture. Any other descriptor is
 rejected: it must equal, byte for byte, the one save_params writes for
 the model.
 
-load_params installs the stored float32 tensors as the model's parameters
-(writable copies the model owns), so a loaded model scores in float32;
-widening them to float64 would add no information. Training refuses such
-a model, so its gradients are read-only zeros that own no memory, and the
-constructor's float64 gradient buffers are freed. Optimizer state is
-returned widened to float64.
+save_params refuses a model with a value that is not finite in float32
+before it opens the file, so a failed save leaves any existing file as it
+was. load_params checks the whole file before it touches the model, so a
+rejected file leaves the model as it was. It installs the stored float32
+tensors as the model's parameters (writable copies the model owns), so a
+loaded model scores in float32; widening them to float64 would add no
+information. Training refuses such a model, so its gradients are read-only
+zeros that own no memory, and the constructor's float64 gradient buffers
+are freed.
 """
 
 from __future__ import annotations
@@ -34,11 +34,10 @@ import struct
 
 import numpy as np
 
-from defreg.errors import FileFormatError, ValidationError
+from defreg.errors import FileFormatError, NumericalError, ValidationError
 from defreg.scnet.model import ScNetModel
 
 MAGIC = b"DEFREGNN"
-OPT_TAG = b"ADAMSTAT"
 FORMAT_VERSION = 1
 
 __all__ = ["save_params", "load_params"]
@@ -48,29 +47,32 @@ def _descriptor_bytes(model: ScNetModel) -> bytes:
     return json.dumps(model.config.architecture(), sort_keys=True).encode("utf-8")
 
 
-def save_params(path, model: ScNetModel, optimizer_state: dict | None = None) -> None:
+def _float32_tensors(model: ScNetModel):
+    """(name, little-endian float32 copy) per parameter, one at a time."""
+    for name, value, _ in model.params():
+        with np.errstate(over="ignore"):  # save_params reports an overflow to inf
+            arr = np.ascontiguousarray(value, dtype="<f4")
+        yield name, arr
+
+
+def save_params(path, model: ScNetModel) -> None:
+    for name, arr in _float32_tensors(model):
+        if not np.isfinite(arr).all():
+            raise NumericalError(f"parameter {name} has a value that is not finite in float32")
     desc = _descriptor_bytes(model)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", FORMAT_VERSION, len(desc)))
         fh.write(desc)
-        for _, value, _ in model.params():
-            fh.write(np.ascontiguousarray(value, dtype="<f4").tobytes())
-        if optimizer_state is not None:
-            fh.write(OPT_TAG)
-            fh.write(struct.pack("<IQ", 1, int(optimizer_state["step"])))
-            for key in ("m", "v"):
-                for arr in optimizer_state[key]:
-                    fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        for _, arr in _float32_tensors(model):
+            fh.write(arr)
 
 
-def load_params(path, model: ScNetModel) -> dict | None:
-    """Install the file's float32 parameters in the model; returns optimizer
-    state if the file carries a checkpoint section, else None. The file
+def load_params(path, model: ScNetModel) -> None:
+    """Install the file's float32 parameters in the model. The file
     descriptor must match the model's compiled architecture exactly."""
     with open(path, "rb") as fh:
         data = fh.read()
-    params = model.params()
     offset = 0
 
     def take(nbytes: int, what: str) -> bytes:
@@ -79,13 +81,6 @@ def load_params(path, model: ScNetModel) -> dict | None:
             raise FileFormatError(f"{path}: truncated at {what}")
         offset += nbytes
         return data[offset - nbytes:offset]
-
-    def tensors(what: str) -> list:
-        out = [np.frombuffer(take(value.size * 4, f"{what} {name}"), dtype="<f4").reshape(value.shape)
-               for name, value, _ in params]
-        if not all(np.isfinite(arr).all() for arr in out):
-            raise FileFormatError(f"{path}: non-finite value in {what}")
-        return out
 
     if take(8, "magic") != MAGIC:
         raise FileFormatError(f"{path}: not a parameter file")
@@ -96,15 +91,10 @@ def load_params(path, model: ScNetModel) -> dict | None:
     if descriptor != expected:
         raise ValidationError(f"{path}: architecture descriptor mismatch: file "
                               f"{descriptor.decode('utf-8', 'replace')}, model {expected.decode()}")
-    model.install_params([arr.astype(np.float32) for arr in tensors("parameter")])
-    if offset == len(data):
-        return None
-    if take(8, "checkpoint tag") != OPT_TAG:
-        raise FileFormatError(f"{path}: trailing bytes are not a checkpoint section")
-    _, step = struct.unpack("<IQ", take(12, "checkpoint header"))
-    state = {"step": step}
-    for key in ("m", "v"):
-        state[key] = [arr.astype(np.float64) for arr in tensors(f"optimizer state {key}")]
+    views = [np.frombuffer(take(value.size * 4, f"parameter {name}"), dtype="<f4").reshape(value.shape)
+             for name, value, _ in model.params()]
     if offset != len(data):
         raise FileFormatError(f"{path}: {len(data) - offset} unexpected trailing bytes")
-    return state
+    if not all(np.isfinite(view).all() for view in views):
+        raise FileFormatError(f"{path}: non-finite value in parameter")
+    model.install_params([view.astype(np.float32) for view in views])

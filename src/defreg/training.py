@@ -269,9 +269,6 @@ class AdamState:
             v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
             p[...] -= lr * ((m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS) + weight_decay * p)
 
-    def as_dict(self) -> dict:
-        return {"step": self.step, "m": self.m, "v": self.v}
-
 
 def _augment_scene(scene: TrainScene, rng: np.random.Generator) -> TrainScene:
     """Random rigid motion of the target side; pairwise target distances
@@ -293,7 +290,7 @@ def _augment_scene(scene: TrainScene, rng: np.random.Generator) -> TrainScene:
 def train(model: ScNetModel, dataset, config: TrainConfig):
     """Seeded training loop, one scene per step, shuffled per epoch.
 
-    Returns (log_rows, optimizer_state); log rows are
+    Returns (log_rows, adam), adam being the final AdamState; log rows are
     (epoch, mean_loss, mean_cls, mean_con, lr) per epoch.
     """
     if not dataset:
@@ -321,7 +318,7 @@ def train(model: ScNetModel, dataset, config: TrainConfig):
             sums += (total, cls, con)
         means = sums / len(dataset)
         log.append((epoch, float(means[0]), float(means[1]), float(means[2]), lr))
-    return log, adam.as_dict()
+    return log, adam
 
 
 def write_loss_log(path, log_rows) -> None:

@@ -166,6 +166,20 @@ def test_train_rerun_is_byte_identical(tmp_path, mini_dataset, config_path):
     assert (tmp_path / "m1.bin.loss.csv").read_bytes() == (tmp_path / "m2.bin.loss.csv").read_bytes()
 
 
+def test_train_value_beyond_float32_exits_3_keeping_old_file(tmp_path, mini_dataset, capsys):
+    # one epoch at learning rate 1e40 ends on a finite loss with weights
+    # near 1e40, which float32 cannot hold
+    config = _write_json(tmp_path / "cfg.json", dict(SMALL_CONFIG, epochs=1, learning_rate=1e40))
+    model_path = tmp_path / "model.bin"
+    model_path.write_bytes(b"old model")
+    with np.errstate(all="ignore"):
+        code = main(["--config", config, "train", "--data", str(mini_dataset),
+                     "--out", str(model_path)])
+    assert code == 3
+    assert "not finite in float32" in capsys.readouterr().err
+    assert model_path.read_bytes() == b"old model"
+
+
 def test_train_requires_labeled_bundles(tmp_path, capsys):
     assert main(["train", "--data", str(tmp_path / "empty"), "--out",
                  str(tmp_path / "m.bin")]) == 4

@@ -45,9 +45,7 @@ def written(tmp_path_factory):
     assert main(["register", "--corr", str(scene / "corr.csv"),
                  "--source", str(scene / "source.ply"), "--out", str(scene / "est.txt")]) == 0
     save_config(scene / "config.json", PipelineConfig())
-    model = ScNetModel(_MICRO)
-    moments = [0.5 * value for _, value, _ in model.params()]
-    save_params(scene / "model.params", model, {"step": 7, "m": moments, "v": moments})
+    save_params(scene / "model.params", ScNetModel(_MICRO))
     ply_lines = (scene / "source.ply").read_bytes().split(b"end_header\n")
     (scene / "source.xyz").write_bytes(ply_lines[1])  # the PLY body is XYZ text
     files = {name: (scene / name).read_bytes() for name in READERS}

@@ -8,7 +8,7 @@ import pytest
 
 from defreg.consistency import CorrespondenceSet, local_consistency
 from defreg.defgraph import build_graph, member_weights
-from defreg.errors import FileFormatError, ValidationError
+from defreg.errors import FileFormatError, NumericalError, ValidationError
 from defreg.scnet.layers import (
     GroupNorm,
     LeakyRelu,
@@ -735,21 +735,6 @@ def test_loaded_params_are_owned_writable_float32(tmp_path):
         assert value.flags.owndata and value.flags.writeable, name
 
 
-def test_checkpoint_round_trip(tmp_path):
-    model = _micro_model(seed=4)
-    state = {
-        "step": 17,
-        "m": [np.random.default_rng(0).normal(size=p.shape) for _, p, _ in model.params()],
-        "v": [np.abs(np.random.default_rng(1).normal(size=p.shape)) for _, p, _ in model.params()],
-    }
-    path = tmp_path / "ck.params"
-    save_params(path, model, state)
-    back = load_params(path, _micro_model(seed=5))
-    assert back["step"] == 17
-    for a, b in zip(state["m"], back["m"]):
-        np.testing.assert_array_equal(np.asarray(a, dtype=np.float32).astype(np.float64), b)
-
-
 def test_descriptor_mismatch_raises_validation(tmp_path):
     model = _micro_model()
     path = tmp_path / "m.params"
@@ -774,7 +759,6 @@ def test_descriptor_pins_architecture_not_seed(tmp_path):
     [
         (lambda data: data[: len(data) - 40], "truncated at parameter"),
         (lambda data: data[:10], "truncated at header"),
-        (lambda data: data + b"ADAMSTAT" + b"\x01\x00", "truncated at checkpoint header"),
     ],
 )
 def test_truncated_params_file(tmp_path, cut, fragment):
@@ -800,7 +784,7 @@ def test_trailing_garbage_rejected(tmp_path):
     path = tmp_path / "m.params"
     save_params(path, model)
     path.write_bytes(path.read_bytes() + b"JUNKJUNK")
-    with pytest.raises(FileFormatError, match="checkpoint section"):
+    with pytest.raises(FileFormatError, match="8 unexpected trailing bytes"):
         load_params(path, _micro_model())
 
 
@@ -809,3 +793,44 @@ def test_not_a_parameter_file(tmp_path):
     path.write_bytes(b"GARBAGE!" * 4)
     with pytest.raises(FileFormatError, match="not a parameter file"):
         load_params(path, _micro_model())
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda data: data[: len(data) - 40],
+        lambda data: data + b"JUNKJUNK",
+        lambda data: data[:-4] + np.float32(np.nan).tobytes(),
+        None,  # a file of another architecture, undamaged
+    ],
+    ids=["truncated", "trailing", "nan", "descriptor"],
+)
+def test_rejected_file_leaves_model_untouched(tmp_path, damage):
+    path = tmp_path / "m.params"
+    if damage is None:
+        save_params(path, _micro_model(feature_dim=16, init_widths=(16, 16, 16)))
+    else:
+        save_params(path, _micro_model(seed=1))
+        path.write_bytes(damage(path.read_bytes()))
+    model = _micro_model(seed=5)
+    before = model.param_vector()
+    with pytest.raises((FileFormatError, ValidationError)):
+        load_params(path, model)
+    after = model.param_vector()
+    assert after.dtype == np.float64
+    assert after.tobytes() == before.tobytes()
+    model.zero_grad()
+
+
+def test_save_params_refuses_value_beyond_float32(tmp_path):
+    path = tmp_path / "m.params"
+    model = _micro_model()
+    model.head[-1].w[0, 0] = 1e39
+    with pytest.raises(NumericalError, match=r"head\.6\.w"):
+        save_params(path, model)
+    assert not path.exists()
+    model.head[-1].w[0, 0] = 3e38
+    save_params(path, model)
+    loaded = _micro_model(seed=1)
+    load_params(path, loaded)
+    assert loaded.head[-1].w[0, 0] == np.float32(3e38)

@@ -296,7 +296,7 @@ def test_train_zero_learning_rate_is_inert():
     np.testing.assert_array_equal(model.param_vector(), before)
     losses = [row[1] for row in log]
     assert max(losses) - min(losses) < 1e-15
-    assert state["step"] == 9
+    assert state.step == 9
 
 
 def test_train_reduces_loss():

@@ -3,12 +3,14 @@ text file is written through defreg.errors.
 
 The pinned test writes one tiny fixed input through each writer (and
 through `prune` and `register` for the scores and cost-trace CSVs) and
-compares the files with the text below. Floats must come out as their
+compares the files with the text below, and the binary parameter file
+with its layout spelled out. Floats must come out as their
 repr, which reads back bit for bit, labels as the digits 0 and 1, and
 JSON documents with sorted keys and a 2-space indent.
 """
 
 import ast
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +171,13 @@ def test_every_writer_writes_pinned_bytes(tmp_path):
 
     for name, text in EXPECTED.items():
         assert (tmp_path / name).read_bytes() == text.encode("ascii"), name
+
+    # model.bin: magic, format version, descriptor length, the descriptor,
+    # then the 2794 parameters as little-endian float32 zeros and nothing else
+    descriptor = (b'{"feature_dim": 16, "head_widths": [8, 4, 1], "init_widths": [16, 16, 16], '
+                  b'"leaky_slope": 0.01, "num_blocks": 1, "num_groups": 2, "units_per_block": 1}')
+    assert (tmp_path / "model.bin").read_bytes() == (
+        b"DEFREGNN" + struct.pack("<II", 1, len(descriptor)) + descriptor + bytes(4 * 2794))
 
 
 def _text_write_opens(tree):
