@@ -53,6 +53,7 @@ logits in both cases.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import reduce
 from itertools import accumulate
 from numbers import Integral
 
@@ -210,11 +211,8 @@ class ScaUnit:
 
     def params(self):
         items = [("wq", self.wq, self.gwq), ("wk", self.wk, self.gwk), ("wv", self.wv, self.gwv)]
-        items += [("attn_out." + n, p, g) for n, p, g in self.attn_out.params()]
-        items += [("ln1." + n, p, g) for n, p, g in self.ln1.params()]
-        items += [("ff1." + n, p, g) for n, p, g in self.ff1.params()]
-        items += [("ff2." + n, p, g) for n, p, g in self.ff2.params()]
-        items += [("ln2." + n, p, g) for n, p, g in self.ln2.params()]
+        for sub in ("attn_out", "ln1", "ff1", "ff2", "ln2"):
+            items += [(f"{sub}.{n}", p, g) for n, p, g in getattr(self, sub).params()]
         return items
 
 
@@ -232,7 +230,10 @@ class ScNetModel:
     """Parameter container: the init stack, the attention blocks and the
     head stack, each a list of layers in declaration order, plus the
     learnable feature-consistency tolerance sigma_f used by training.
-    Constructed parameters are float64; load_params installs float32 ones."""
+    Every parameter is a view of its slice of one flat vector, values, in
+    params() order, and its gradient (its name with a "g" in front) a view
+    of the same slice of grads. Constructed parameters are float64;
+    load_params installs float32 ones."""
 
     ENCODED_WIDTH = 18
 
@@ -249,60 +250,68 @@ class ScNetModel:
         self.head.append(Linear((config.feature_dim, *hidden)[-1], 1, rng))  # fan-in: last hidden width
         self.sigma_f = np.array(1.0)
         self.gsigma_f = np.zeros(())
+        size = sum(value.size for _, value, _ in self.params())
+        self.install_params(np.empty(size), np.zeros(size), fill=True)
 
-    def _layers(self):
-        """(name prefix, layer) for every layer in declaration order."""
-        items = [(f"init.{i}.", layer) for i, layer in enumerate(self.init)]
+    def _slots(self):
+        """(name, owner, attribute) of every parameter, in declaration order."""
+        layers = [(f"init.{i}.", layer) for i, layer in enumerate(self.init)]
         for bi, block in enumerate(self.blocks):
-            items += [(f"block.{bi}.unit.{ui}.", unit) for ui, unit in enumerate(block)]
-        items += [(f"head.{i}.", layer) for i, layer in enumerate(self.head)]
-        return items
+            layers += [(f"block.{bi}.unit.{ui}.", unit) for ui, unit in enumerate(block)]
+        layers += [(f"head.{i}.", layer) for i, layer in enumerate(self.head)]
+        for prefix, layer in layers:
+            for name, _, _ in layer.params():
+                *path, attr = name.split(".")  # a unit's sublayer parameters are "ln1.gamma" etc.
+                yield prefix + name, reduce(getattr, path, layer), attr
+        yield "sigma_f", self, "sigma_f"
 
     def params(self):
         """(name, value, grad) triples in declaration order."""
-        items = [(prefix + n, p, g) for prefix, layer in self._layers() for n, p, g in layer.params()]
-        items.append(("sigma_f", self.sigma_f, self.gsigma_f))
-        return items
+        return [(name, getattr(owner, attr), getattr(owner, "g" + attr))
+                for name, owner, attr in self._slots()]
 
     @property
     def dtype(self) -> np.dtype:
         """The dtype run_forward computes in."""
-        return self.head[-1].w.dtype
+        return self.values.dtype
 
-    def install_params(self, values) -> None:
-        """Replace every parameter array, in params() order, by the given
-        array itself (not a copy), so the model takes on its dtype. Each
-        gradient (the parameter's name with a "g" in front) becomes a
-        read-only zero view that owns no memory: load_params installs
-        float32 parameters, which training refuses."""
-        slots = [(layer, n) for _, layer in self._layers() for n, _, _ in layer.params()]
-        slots.append((self, "sigma_f"))
-        for (owner, name), value in zip(slots, values, strict=True):
-            *path, attr = name.split(".")  # a unit's sublayer parameters are "ln1.gamma" etc.
-            for step in path:
-                owner = getattr(owner, step)
-            setattr(owner, attr, value)
-            setattr(owner, "g" + attr, np.broadcast_to(np.zeros((), value.dtype), value.shape))
+    def install_params(self, values: np.ndarray, grads: np.ndarray, fill: bool = False) -> None:
+        """Make values and grads themselves (not copies) the model's two
+        vectors, and every parameter and gradient a view of its slice, so
+        the model takes on their dtype. With fill, each slice first takes the
+        values of the array it replaces, which is freed once its view is set."""
+        offset = 0
+        for _, owner, attr in self._slots():
+            old = getattr(owner, attr)
+            end = offset + old.size
+            view = values[offset:end].reshape(old.shape)
+            if fill:
+                view[...] = old
+            setattr(owner, attr, view)
+            setattr(owner, "g" + attr, grads[offset:end].reshape(old.shape))
+            offset = end
+        self.values, self.grads = values, grads
 
     def zero_grad(self):
-        for _, _, grad in self.params():
-            if not grad.flags.writeable:
-                raise ValidationError("a model loaded from a parameter file holds no gradient buffers")
-            grad[...] = 0.0
+        if not self.grads.flags.writeable:
+            raise ValidationError("a model loaded from a parameter file holds no gradient buffers")
+        self.grads[...] = 0.0
 
-    def param_vector(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for _, p, _ in self.params()])
+    def param_name(self, index: int) -> str:
+        """Name of the parameter holding values[index], for failure messages."""
+        names, sizes = zip(*((name, value.size) for name, value, _ in self.params()))
+        return names[int(np.searchsorted(np.cumsum(sizes), index, side="right"))]
 
-    def grad_vector(self) -> np.ndarray:
-        return np.concatenate([g.ravel() for _, _, g in self.params()])
-
-    def set_param_vector(self, vec: np.ndarray):
-        offset = 0
-        for _, p, _ in self.params():
-            p[...] = vec[offset:offset + p.size].reshape(p.shape)
-            offset += p.size
-        if offset != vec.size:
-            raise ValidationError("parameter vector size mismatch")
+    def float32_values(self, context: str = "") -> np.ndarray:
+        """values as little-endian float32. A value that float32 cannot hold
+        raises NumericalError naming its parameter, after context."""
+        with np.errstate(over="ignore"):  # an overflow to inf is reported below
+            narrow = self.values.astype("<f4", copy=False)
+        finite = np.isfinite(narrow)
+        if not finite.all():
+            raise NumericalError(f"{context}parameter {self.param_name(int(np.argmin(finite)))} "
+                                 "has a value that is not finite in float32")
+        return narrow
 
 
 def encode_input(corr: CorrespondenceSet) -> np.ndarray:
@@ -472,9 +481,9 @@ def backward_through(model: ScNetModel, state: ForwardState, d_scores: np.ndarra
         dfeats = dprev
     _backward(model.init, tape.init, dfeats)
 
-    for name, _, grad in model.params():
-        if not np.isfinite(grad).all():
-            raise NumericalError(f"non-finite gradient in {name}")
+    finite = np.isfinite(model.grads)
+    if not finite.all():
+        raise NumericalError(f"non-finite gradient in {model.param_name(int(np.argmin(finite)))}")
 
 
 def classify(scores, tau_s: float) -> np.ndarray:

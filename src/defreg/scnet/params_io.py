@@ -6,7 +6,8 @@ Layout:
     u32 LE    format version (1)
     u32 LE    descriptor length in bytes
     ...       descriptor: UTF-8 JSON of the architecture (sorted keys)
-    ...       parameter tensors in declaration order, little-endian f32
+    ...       parameter tensors in declaration order, little-endian f32:
+              the model's flat parameter vector, values, in float32
 
 Nothing follows the last tensor; any byte after it is an error.
 
@@ -19,12 +20,13 @@ the model.
 save_params refuses a model with a value that is not finite in float32
 before it opens the file, so a failed save leaves any existing file as it
 was. load_params checks the whole file before it touches the model, so a
-rejected file leaves the model as it was. It installs the stored float32
-tensors as the model's parameters (writable copies the model owns), so a
-loaded model scores in float32; widening them to float64 would add no
-information. Training refuses such a model, so its gradients are read-only
-zeros that own no memory, and the constructor's float64 gradient buffers
-are freed.
+rejected file leaves the model as it was. It reads the tensor section as
+one float32 array and installs one writable copy of it, which the model
+owns, as the model's flat parameter vector; every layer parameter is a
+view of it. A loaded model therefore scores in float32; widening to
+float64 would add no information. Training refuses such a model, so its
+gradients are read-only zeros that own no memory, and the constructor's
+float64 parameter and gradient vectors are freed.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import struct
 
 import numpy as np
 
-from defreg.errors import FileFormatError, NumericalError, ValidationError
+from defreg.errors import FileFormatError, ValidationError
 from defreg.scnet.model import ScNetModel
 
 MAGIC = b"DEFREGNN"
@@ -47,35 +49,24 @@ def _descriptor_bytes(model: ScNetModel) -> bytes:
     return json.dumps(model.config.architecture(), sort_keys=True).encode("utf-8")
 
 
-def _float32_tensors(model: ScNetModel):
-    """(name, little-endian float32 copy) per parameter, one at a time."""
-    for name, value, _ in model.params():
-        with np.errstate(over="ignore"):  # save_params reports an overflow to inf
-            arr = np.ascontiguousarray(value, dtype="<f4")
-        yield name, arr
-
-
 def save_params(path, model: ScNetModel) -> None:
-    for name, arr in _float32_tensors(model):
-        if not np.isfinite(arr).all():
-            raise NumericalError(f"parameter {name} has a value that is not finite in float32")
+    tensors = model.float32_values()
     desc = _descriptor_bytes(model)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", FORMAT_VERSION, len(desc)))
         fh.write(desc)
-        for _, arr in _float32_tensors(model):
-            fh.write(arr)
+        fh.write(tensors)
 
 
 def load_params(path, model: ScNetModel) -> None:
     """Install the file's float32 parameters in the model. The file
     descriptor must match the model's compiled architecture exactly."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = memoryview(fh.read())  # slices of a memoryview copy no bytes
     offset = 0
 
-    def take(nbytes: int, what: str) -> bytes:
+    def take(nbytes: int, what: str) -> memoryview:
         nonlocal offset
         if len(data) - offset < nbytes:
             raise FileFormatError(f"{path}: truncated at {what}")
@@ -90,11 +81,13 @@ def load_params(path, model: ScNetModel) -> None:
     descriptor, expected = take(desc_len, "descriptor"), _descriptor_bytes(model)
     if descriptor != expected:
         raise ValidationError(f"{path}: architecture descriptor mismatch: file "
-                              f"{descriptor.decode('utf-8', 'replace')}, model {expected.decode()}")
-    views = [np.frombuffer(take(value.size * 4, f"parameter {name}"), dtype="<f4").reshape(value.shape)
-             for name, value, _ in model.params()]
-    if offset != len(data):
-        raise FileFormatError(f"{path}: {len(data) - offset} unexpected trailing bytes")
-    if not all(np.isfinite(view).all() for view in views):
+                              f"{bytes(descriptor).decode('utf-8', 'replace')}, model {expected.decode()}")
+    size, left = model.values.size, len(data) - offset
+    if left < 4 * size:
+        raise FileFormatError(f"{path}: truncated at parameter {model.param_name(left // 4)}")
+    if left > 4 * size:
+        raise FileFormatError(f"{path}: {left - 4 * size} unexpected trailing bytes")
+    tensors = np.frombuffer(data, dtype="<f4", count=size, offset=offset)
+    if not np.isfinite(tensors).all():
         raise FileFormatError(f"{path}: non-finite value in parameter")
-    model.install_params([view.astype(np.float32) for view in views])
+    model.install_params(tensors.astype(np.float32), np.broadcast_to(np.zeros((), np.float32), size))

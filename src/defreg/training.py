@@ -234,40 +234,36 @@ def gradient_check(seed: int = 0, step: float = 1e-5):
         num_blocks=1, units_per_block=1, num_groups=2, seed=seed,
     ))
     backward(model, scene)
-    analytic = model.grad_vector().copy()
-    base = model.param_vector().copy()
+    analytic = model.grads.copy()
+    values = model.values  # every layer parameter is a view of it
     numeric = np.zeros_like(analytic)
-    probe = base.copy()
-    for i in range(base.size):
-        probe[i] = base[i] + step
-        model.set_param_vector(probe)
+    for i in range(values.size):
+        base = values[i]
+        values[i] = base + step
         hi = scene_loss(model, scene)
-        probe[i] = base[i] - step
-        model.set_param_vector(probe)
+        values[i] = base - step
         lo = scene_loss(model, scene)
-        probe[i] = base[i]
+        values[i] = base
         numeric[i] = (hi - lo) / (2.0 * step)
-    model.set_param_vector(base)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1.0)
     return float((np.abs(analytic - numeric) / denom).max())
 
 
 class AdamState:
-    """Adam with decoupled weight decay over a fixed parameter list."""
+    """Adam with decoupled weight decay over one flat parameter vector."""
 
-    def __init__(self, params):
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+    def __init__(self, params: np.ndarray):
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.step = 0
 
-    def update(self, params, grads, lr: float, weight_decay: float):
+    def update(self, params: np.ndarray, grads: np.ndarray, lr: float, weight_decay: float):
         self.step += 1
         b1c = 1.0 - ADAM_BETA1 ** self.step
         b2c = 1.0 - ADAM_BETA2 ** self.step
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-            v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-            p[...] -= lr * ((m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS) + weight_decay * p)
+        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * grads
+        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grads * grads
+        params -= lr * ((self.m / b1c) / (np.sqrt(self.v / b2c) + ADAM_EPS) + weight_decay * params)
 
 
 def _augment_scene(scene: TrainScene, rng: np.random.Generator) -> TrainScene:
@@ -291,15 +287,13 @@ def train(model: ScNetModel, dataset, config: TrainConfig):
     """Seeded training loop, one scene per step, shuffled per epoch.
 
     Returns (log_rows, adam), adam being the final AdamState; log rows are
-    (epoch, mean_loss, mean_cls, mean_con, lr) per epoch.
+    (epoch, mean_loss, mean_cls, mean_con, lr) per epoch. A parameter that
+    is not finite in float32 after an epoch raises NumericalError.
     """
     if not dataset:
         raise ValidationError("empty training dataset")
     rng = np.random.default_rng(config.seed)
-    triples = model.params()
-    params = [p for _, p, _ in triples]
-    grads = [g for _, _, g in triples]
-    adam = AdamState(params)
+    adam = AdamState(model.values)
     log = []
     for epoch in range(config.epochs):
         lr = config.learning_rate * (1.0 - config.lr_decay_per_epoch) ** epoch
@@ -314,8 +308,9 @@ def train(model: ScNetModel, dataset, config: TrainConfig):
                 raise NumericalError(
                     f"training diverged: non-finite loss at epoch {epoch}, step {adam.step + 1}"
                 )
-            adam.update(params, grads, lr, config.weight_decay)
+            adam.update(model.values, model.grads, lr, config.weight_decay)
             sums += (total, cls, con)
+        model.float32_values(f"training diverged at epoch {epoch}: ")
         means = sums / len(dataset)
         log.append((epoch, float(means[0]), float(means[1]), float(means[2]), lr))
     return log, adam

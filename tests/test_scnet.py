@@ -1,7 +1,9 @@
 """Network layers, attention blocks, forward pass, and parameter files."""
 
+import ast
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,7 +61,7 @@ def _loaded(model, tmp_path):
 def _widened(model):
     """A float64 model holding exactly model's parameter values."""
     wide = ScNetModel(model.config)
-    wide.set_param_vector(model.param_vector().astype(np.float64))
+    wide.values[...] = model.values
     return wide
 
 
@@ -473,7 +475,7 @@ def test_forward_composition_oracle():
 def test_forward_zero_parameters_constant_scores():
     corr, graph, theta = _scene(15, 9)
     model = _micro_model()
-    model.set_param_vector(np.zeros(model.param_vector().size))
+    model.values[...] = 0.0
     scores = run_forward(model, corr, graph, theta).scores
     np.testing.assert_array_equal(scores, np.full(9, 0.5))
 
@@ -642,13 +644,13 @@ def test_backward_through_requires_tape():
     state = run_forward(model, corr, graph, theta)
     with pytest.raises(ValidationError, match="holds no tape"):
         backward_through(model, state, np.ones(len(corr)))
-    assert not model.grad_vector().any()
+    assert not model.grads.any()
 
 
 def test_model_seed_determinism():
-    a = _micro_model(seed=0).param_vector()
-    b = _micro_model(seed=0).param_vector()
-    c = _micro_model(seed=1).param_vector()
+    a = _micro_model(seed=0).values
+    b = _micro_model(seed=0).values
+    c = _micro_model(seed=1).values
     np.testing.assert_array_equal(a, b)
     assert np.abs(a - c).max() > 0
 
@@ -729,10 +731,76 @@ def test_loaded_model_scores_in_float32_within_tolerance(size, tmp_path):
 
 
 def test_loaded_params_are_owned_writable_float32(tmp_path):
-    loaded = _loaded(_micro_model(seed=3), tmp_path)
-    for name, value, _ in loaded.params():
-        assert value.dtype == np.float32, name
-        assert value.flags.owndata and value.flags.writeable, name
+    values = _loaded(_micro_model(seed=3), tmp_path).values
+    assert values.dtype == np.float32 and values.flags.writeable
+    # its own buffer: a view of the file's bytes would have a base
+    assert values.flags.owndata and values.base is None
+
+
+@pytest.mark.parametrize("kind", ["constructed", "loaded"])
+def test_params_are_views_of_the_flat_vectors_in_order(kind, tmp_path):
+    model = _micro_model(seed=3)
+    if kind == "loaded":
+        model = _loaded(model, tmp_path)
+    start, offset = model.values.ctypes.data, 0
+    for name, value, grad in model.params():
+        assert value.base is model.values, name
+        assert value.ctypes.data == start + offset * model.values.itemsize, name
+        assert grad.flags.writeable == (kind == "constructed"), name
+        if grad.flags.writeable:
+            assert grad.base is model.grads and grad.ctypes.data - model.grads.ctypes.data == (
+                value.ctypes.data - start), name
+        offset += value.size
+    assert offset == model.values.size == model.grads.size
+
+
+def test_loading_the_default_model_peaks_within_twice_the_file(tmp_path):
+    """Above an already built model, installing a parameter file holds the
+    file's bytes and one float32 copy of its tensors, and nothing per tensor."""
+    path = tmp_path / "m.params"
+    save_params(path, ScNetModel(ScNetConfig()))
+    model = ScNetModel(ScNetConfig())
+    tracemalloc.start()
+    try:
+        load_params(path, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * path.stat().st_size + 1e6
+
+
+def _param_walks_and_binds(node, func=None):
+    """(line, enclosing function, kind) for every loop over a .params() call
+    ("walk") and every setattr call ("bind") under node."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        iters = [gen.iter for gen in getattr(child, "generators", [])]  # comprehensions
+        if isinstance(child, ast.For):
+            iters.append(child.iter)
+        if any(isinstance(it, ast.Call) and getattr(it.func, "attr", None) == "params" for it in iters):
+            found.append((child.lineno, func, "walk"))
+        if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "setattr":
+            found.append((child.lineno, func, "bind"))
+        found += _param_walks_and_binds(
+            child, child.name if isinstance(child, ast.FunctionDef) else func)
+    return found
+
+
+def test_only_the_model_binds_or_walks_parameters():
+    """Only ScNetModel.install_params binds parameter attributes, and only
+    scnet/model.py loops over a .params() call: in the params() methods, the
+    constructor's size, the parameter slots and the failure-path name lookup.
+    Everything else uses the flat vectors whole."""
+    src = Path(__file__).resolve().parents[1] / "src" / "defreg"
+    allowed = {("bind", "install_params")} | {
+        ("walk", func) for func in ("params", "__init__", "_slots", "param_name")}
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        rel = path.relative_to(src)
+        for line, func, kind in _param_walks_and_binds(ast.parse(path.read_text(encoding="utf-8"))):
+            if rel != Path("scnet", "model.py") or (kind, func) not in allowed:
+                offenders.append(f"{rel}:{line} {kind} in {func}")
+    assert offenders == []
 
 
 def test_descriptor_mismatch_raises_validation(tmp_path):
@@ -813,10 +881,10 @@ def test_rejected_file_leaves_model_untouched(tmp_path, damage):
         save_params(path, _micro_model(seed=1))
         path.write_bytes(damage(path.read_bytes()))
     model = _micro_model(seed=5)
-    before = model.param_vector()
+    before = model.values.copy()
     with pytest.raises((FileFormatError, ValidationError)):
         load_params(path, model)
-    after = model.param_vector()
+    after = model.values
     assert after.dtype == np.float64
     assert after.tobytes() == before.tobytes()
     model.zero_grad()

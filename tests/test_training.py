@@ -246,8 +246,7 @@ def test_gradient_check_alternate_seed():
 def test_adam_five_step_hand_oracle():
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     p = np.array([1.0, -2.0])
-    params = [p]
-    adam = AdamState(params)
+    adam = AdamState(p)
     grads_seq = [np.array([0.3, -0.1]), np.array([-0.2, 0.4]), np.array([0.05, 0.0]),
                  np.array([0.1, 0.1]), np.array([-0.3, 0.2])]
     lr, wd = 0.01, 0.1
@@ -263,7 +262,7 @@ def test_adam_five_step_hand_oracle():
         expect = expect - lr * (mhat / (np.sqrt(vhat) + eps) + wd * expect)
 
     for g in grads_seq:
-        adam.update(params, [g], lr, wd)
+        adam.update(p, g, lr, wd)
     np.testing.assert_allclose(p, expect, atol=1e-15)
     assert adam.step == 5
 
@@ -271,8 +270,8 @@ def test_adam_five_step_hand_oracle():
 def test_adam_decay_is_decoupled():
     # with zero gradient the update is a pure shrink by lr * wd * p
     p = np.array([2.0])
-    adam = AdamState([p])
-    adam.update([p], [np.zeros(1)], 0.1, 0.5)
+    adam = AdamState(p)
+    adam.update(p, np.zeros(1), 0.1, 0.5)
     np.testing.assert_allclose(p, [2.0 - 0.1 * 0.5 * 2.0], atol=1e-15)
 
 
@@ -291,9 +290,9 @@ def _tiny_dataset(n=4):
 
 def test_train_zero_learning_rate_is_inert():
     model = _micro_model()
-    before = model.param_vector().copy()
+    before = model.values.copy()
     log, state = train(model, _tiny_dataset(3), TrainConfig(epochs=3, learning_rate=0.0))
-    np.testing.assert_array_equal(model.param_vector(), before)
+    np.testing.assert_array_equal(model.values, before)
     losses = [row[1] for row in log]
     assert max(losses) - min(losses) < 1e-15
     assert state.step == 9
@@ -315,7 +314,7 @@ def test_train_is_deterministic():
     log1, _ = train(m1, _tiny_dataset(3), cfg)
     log2, _ = train(m2, _tiny_dataset(3), cfg)
     assert log1 == log2
-    np.testing.assert_array_equal(m1.param_vector(), m2.param_vector())
+    np.testing.assert_array_equal(m1.values, m2.values)
 
 
 def test_train_augment_changes_trajectory_deterministically():
@@ -324,7 +323,7 @@ def test_train_augment_changes_trajectory_deterministically():
     log1, _ = train(m1, _tiny_dataset(3), cfg_a)
     log2, _ = train(m2, _tiny_dataset(3), cfg_a)
     assert log1 == log2
-    np.testing.assert_array_equal(m1.param_vector(), m2.param_vector())
+    np.testing.assert_array_equal(m1.values, m2.values)
     log3, _ = train(m3, _tiny_dataset(3), TrainConfig(epochs=2, learning_rate=1e-3, seed=5))
     assert log1 != log3
 
@@ -336,11 +335,27 @@ def test_train_empty_dataset_rejected():
 
 def test_train_divergence_raises_numerical_error():
     model = _micro_model()
-    vec = model.param_vector()
-    vec[:] = 1e300
-    model.set_param_vector(vec)
+    model.values[...] = 1e300
     with np.errstate(all="ignore"), pytest.raises(NumericalError, match="diverged|non-finite"):
         train(model, _tiny_dataset(2), TrainConfig(epochs=1, learning_rate=1e-3))
+
+
+def test_train_names_the_epoch_a_parameter_leaves_float32():
+    # one step at learning rate 1e40 ends on a finite loss with weights
+    # near 1e40, which float32 cannot hold
+    with np.errstate(all="ignore"), pytest.raises(
+            NumericalError, match=r"^training diverged at epoch 0: parameter \S+ has a value "
+                                  r"that is not finite in float32$"):
+        train(_micro_model(), _tiny_dataset(1), TrainConfig(epochs=3, learning_rate=1e40))
+
+
+def test_one_train_step_moves_the_layer_arrays_themselves():
+    model = _micro_model()
+    weight = model.init[0].w
+    before = weight.copy()
+    train(model, _tiny_dataset(1), TrainConfig(epochs=1, learning_rate=1e-3))
+    assert model.init[0].w is weight and weight.base is model.values
+    assert not np.array_equal(weight, before)
 
 
 def test_training_refuses_loaded_float32_model(tmp_path):
@@ -348,12 +363,12 @@ def test_training_refuses_loaded_float32_model(tmp_path):
     save_params(path, _micro_model(seed=2))
     model = _micro_model()
     load_params(path, model)
-    before = model.param_vector().copy()
+    before = model.values.copy()
     with pytest.raises(ValidationError, match="float64 parameters; this model holds float32"):
         backward(model, make_check_scene(0))
     with pytest.raises(ValidationError, match="float64 parameters"):
         train(model, _tiny_dataset(2), TrainConfig(epochs=1, learning_rate=1e-3))
-    np.testing.assert_array_equal(model.param_vector(), before)
+    np.testing.assert_array_equal(model.values, before)
 
 
 def test_loaded_model_holds_read_only_zero_gradients(tmp_path):
@@ -367,8 +382,7 @@ def test_loaded_model_holds_read_only_zero_gradients(tmp_path):
     for name, value, grad in model.params():
         assert grad.shape == value.shape and grad.dtype == value.dtype == np.float32, name
         assert not grad.flags.writeable and all(s == 0 for s in grad.strides), name
-    vec = model.grad_vector()
-    assert vec.size == model.param_vector().size and not vec.any()
+    assert model.grads.size == model.values.size and not model.grads.any()
     with pytest.raises(ValidationError, match="loaded from a parameter file holds no gradient buffers"):
         model.zero_grad()
     with pytest.raises(ValidationError, match="float64 parameters; this model holds float32"):

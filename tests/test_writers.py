@@ -157,7 +157,7 @@ def test_every_writer_writes_pinned_bytes(tmp_path):
     # prune with an all-zero model scores every correspondence sigmoid(0);
     # register on correspondences that already agree stops at the identity
     model = ScNetModel(scnet_config(config))
-    model.set_param_vector(np.zeros(model.param_vector().size))
+    model.values[...] = 0.0
     save_params(tmp_path / "model.bin", model)
     points = np.array([[0.0, 0, 0], [0.05, 0, 0], [0.0, 0.05, 0]])
     write_corr_csv(tmp_path / "aligned.csv", CorrespondenceSet(points, points))
