@@ -1,11 +1,12 @@
 """Network building blocks with explicit reverse-mode backward passes.
 
-Layers are parameter containers. forward(x) returns (y, cache) and
-backward(cache, dy) returns dx while accumulating parameter gradients
-into the layer's grad arrays. Caches travel with the call rather than
-living on the layer, because one layer instance is applied to many
-per-node feature blocks inside a single forward pass (weight sharing
-across graph nodes).
+A layer declares its parameters and allocates none: slots lists (attr,
+shape, init) in order, and sublayers names attributes holding layers whose
+slots follow. bind_params makes each parameter and its gradient (its name
+with a "g" in front) views of two flat vectors the caller owns. forward(x)
+returns (y, cache); backward(cache, dy) returns dx and accumulates into the
+gradient views. Caches travel with the call because one layer instance runs
+on many per-node feature blocks in one pass (weight sharing across nodes).
 
 Every layer computes in the dtype of its input and parameters: float64
 when the model is constructed and trained, float32 when it is loaded from
@@ -26,18 +27,46 @@ import numpy as np
 
 from defreg.errors import ValidationError
 
-__all__ = ["Linear", "GroupNorm", "LeakyRelu", "softmax_rows", "softmax_backward", "sigmoid"]
+__all__ = ["Linear", "GroupNorm", "LeakyRelu", "uniform", "param_slots", "bind_params",
+           "softmax_rows", "softmax_backward", "sigmoid"]
+
+
+def uniform(fan_in: int):
+    """Slot initialiser drawing uniformly in +-sqrt(1/fan_in)."""
+    bound = np.sqrt(1.0 / fan_in)
+    return lambda rng, shape: rng.uniform(-bound, bound, size=shape)
+
+
+def param_slots(layer, prefix: str = ""):
+    """(name, owner, attr, shape, init) of layer's slots, then of each
+    sublayer's, in order; a sublayer's names are prefixed, as in "ln1.gamma"."""
+    for attr, shape, init in getattr(layer, "slots", ()):
+        yield prefix + attr, layer, attr, shape, init
+    for sub in getattr(layer, "sublayers", ()):
+        yield from param_slots(getattr(layer, sub), f"{prefix}{sub}.")
+
+
+def bind_params(layers, values: np.ndarray, grads: np.ndarray, rng=None) -> None:
+    """Make every parameter of layers, in slot order, a view of the next
+    slice of values and its gradient one of the same slice of grads. With
+    rng, each slice first takes its init: a constant, or init(rng, shape)."""
+    offset = 0
+    for layer in layers:
+        for _, owner, attr, shape, init in param_slots(layer):
+            end = offset + int(np.prod(shape))
+            value = values[offset:end].reshape(shape)
+            if rng is not None:
+                value[...] = init(rng, shape) if callable(init) else init
+            setattr(owner, attr, value)
+            setattr(owner, "g" + attr, grads[offset:end].reshape(shape))
+            offset = end
 
 
 class Linear:
     """y = x @ w + b, init uniform in +-sqrt(1/fan_in)."""
 
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
-        bound = np.sqrt(1.0 / n_in)
-        self.w = rng.uniform(-bound, bound, size=(n_in, n_out))
-        self.b = rng.uniform(-bound, bound, size=n_out)
-        self.gw = np.zeros_like(self.w)
-        self.gb = np.zeros_like(self.b)
+    def __init__(self, n_in: int, n_out: int):
+        self.slots = [("w", (n_in, n_out), uniform(n_in)), ("b", (n_out,), uniform(n_in))]
 
     def forward(self, x):
         return x @ self.w + self.b, x
@@ -47,9 +76,6 @@ class Linear:
         self.gw += x.T @ dy
         self.gb += dy.sum(axis=0)
         return dy @ self.w.T
-
-    def params(self):
-        return [("w", self.w, self.gw), ("b", self.b, self.gb)]
 
 
 class LeakyRelu:
@@ -72,9 +98,6 @@ class LeakyRelu:
     def backward(self, cache, dy):
         return self._scale(dy, cache)
 
-    def params(self):
-        return []
-
 
 class GroupNorm:
     """Per-row group normalization over channel groups, affine per channel.
@@ -85,10 +108,7 @@ class GroupNorm:
             raise ValidationError(f"groups {groups} must divide channels {channels}")
         self.groups = groups
         self.eps = eps
-        self.gamma = np.ones(channels)
-        self.beta = np.zeros(channels)
-        self.ggamma = np.zeros_like(self.gamma)
-        self.gbeta = np.zeros_like(self.beta)
+        self.slots = [("gamma", (channels,), 1.0), ("beta", (channels,), 0.0)]
 
     def forward(self, x):
         n, c = x.shape
@@ -114,9 +134,6 @@ class GroupNorm:
         mean_gx = (gg * xhat).mean(axis=2, keepdims=True)
         dx = (gg - mean_g - xhat * mean_gx) * inv_std
         return dx.reshape(n, c)
-
-    def params(self):
-        return [("gamma", self.gamma, self.ggamma), ("beta", self.beta, self.gbeta)]
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:

@@ -53,7 +53,6 @@ logits in both cases.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import reduce
 from itertools import accumulate
 from numbers import Integral
 
@@ -66,9 +65,12 @@ from defreg.scnet.layers import (
     GroupNorm,
     LeakyRelu,
     Linear,
+    bind_params,
+    param_slots,
     sigmoid,
     softmax_backward,
     softmax_rows,
+    uniform,
 )
 
 __all__ = [
@@ -131,23 +133,18 @@ class ScaUnit:
     each node patch, a linear output projection, residual + layer norm,
     then a two-layer feedforward with residual + layer norm."""
 
-    def __init__(self, dim: int, slope: float, rng: np.random.Generator):
-        bound = np.sqrt(1.0 / dim)
+    def __init__(self, dim: int, slope: float):
         self.dim = dim
         # a Python float: an np.float64 scalar would promote a float32 pass to float64
         self.inv_sqrt_d = 1.0 / float(np.sqrt(dim))
-        self.wq = rng.uniform(-bound, bound, size=(dim, dim))
-        self.wk = rng.uniform(-bound, bound, size=(dim, dim))
-        self.wv = rng.uniform(-bound, bound, size=(dim, dim))
-        self.gwq = np.zeros_like(self.wq)
-        self.gwk = np.zeros_like(self.wk)
-        self.gwv = np.zeros_like(self.wv)
-        self.attn_out = Linear(dim, dim, rng)
+        self.slots = [(name, (dim, dim), uniform(dim)) for name in ("wq", "wk", "wv")]
+        self.attn_out = Linear(dim, dim)
         self.ln1 = GroupNorm(dim, 1)
-        self.ff1 = Linear(dim, dim, rng)
-        self.ff2 = Linear(dim, dim, rng)
+        self.ff1 = Linear(dim, dim)
+        self.ff2 = Linear(dim, dim)
         self.ln2 = GroupNorm(dim, 1)
         self.act = LeakyRelu(slope)
+        self.sublayers = ("attn_out", "ln1", "ff1", "ff2", "ln2")
 
     def forward(self, feats: np.ndarray, thetas):
         """Run a group of node patches stacked as rows. thetas holds each
@@ -209,18 +206,12 @@ class ScaUnit:
         dfeats += dsum1
         return dfeats
 
-    def params(self):
-        items = [("wq", self.wq, self.gwq), ("wk", self.wk, self.gwk), ("wv", self.wv, self.gwv)]
-        for sub in ("attn_out", "ln1", "ff1", "ff2", "ln2"):
-            items += [(f"{sub}.{n}", p, g) for n, p, g in getattr(self, sub).params()]
-        return items
 
-
-def _mlp(fan_in: int, widths, config: ScNetConfig, rng: np.random.Generator) -> list:
+def _mlp(fan_in: int, widths, config: ScNetConfig) -> list:
     """Linear, GroupNorm and LeakyRelu for each width, in order."""
     layers = []
     for width in widths:
-        layers += [Linear(fan_in, width, rng), GroupNorm(width, config.num_groups),
+        layers += [Linear(fan_in, width), GroupNorm(width, config.num_groups),
                    LeakyRelu(config.leaky_slope)]
         fan_in = width
     return layers
@@ -229,67 +220,55 @@ def _mlp(fan_in: int, widths, config: ScNetConfig, rng: np.random.Generator) -> 
 class ScNetModel:
     """Parameter container: the init stack, the attention blocks and the
     head stack, each a list of layers in declaration order, plus the
-    learnable feature-consistency tolerance sigma_f used by training.
-    Every parameter is a view of its slice of one flat vector, values, in
-    params() order, and its gradient (its name with a "g" in front) a view
-    of the same slice of grads. Constructed parameters are float64;
-    load_params installs float32 ones."""
+    learnable feature-consistency tolerance sigma_f (the model's own slot).
+    It owns two flat vectors sized from the slots; every parameter is a view
+    of its slice of values in params() order, its gradient ("g" + name) of
+    the same slice of grads. Constructed parameters are float64, drawn in
+    place from the seed; load_params installs float32 ones."""
 
     ENCODED_WIDTH = 18
 
     def __init__(self, config: ScNetConfig):
         self.config = config
-        rng = np.random.default_rng(config.seed)
-        self.init = _mlp(self.ENCODED_WIDTH, config.init_widths, config, rng)
+        self.init = _mlp(self.ENCODED_WIDTH, config.init_widths, config)
         self.blocks = [
-            [ScaUnit(config.feature_dim, config.leaky_slope, rng) for _ in range(config.units_per_block)]
+            [ScaUnit(config.feature_dim, config.leaky_slope) for _ in range(config.units_per_block)]
             for _ in range(config.num_blocks)
         ]
         hidden = config.head_widths[:-1]
-        self.head = _mlp(config.feature_dim, hidden, config, rng)
-        self.head.append(Linear((config.feature_dim, *hidden)[-1], 1, rng))  # fan-in: last hidden width
-        self.sigma_f = np.array(1.0)
-        self.gsigma_f = np.zeros(())
-        size = sum(value.size for _, value, _ in self.params())
-        self.install_params(np.empty(size), np.zeros(size), fill=True)
+        self.head = _mlp(config.feature_dim, hidden, config)
+        self.head.append(Linear((config.feature_dim, *hidden)[-1], 1))  # fan-in: last hidden width
+        self.slots = [("sigma_f", (), 1.0)]
+        size = sum(int(np.prod(s[3])) for _, layer in self._layers() for s in param_slots(layer))
+        # one buffer for both vectors, so a load_params that replaces them frees it whole
+        self.install_params(*np.zeros((2, size)), np.random.default_rng(config.seed))
 
-    def _slots(self):
-        """(name, owner, attribute) of every parameter, in declaration order."""
+    def _layers(self):
+        """(name prefix, layer) of every slot holder in declaration order,
+        ending with the model itself (sigma_f)."""
         layers = [(f"init.{i}.", layer) for i, layer in enumerate(self.init)]
         for bi, block in enumerate(self.blocks):
             layers += [(f"block.{bi}.unit.{ui}.", unit) for ui, unit in enumerate(block)]
         layers += [(f"head.{i}.", layer) for i, layer in enumerate(self.head)]
-        for prefix, layer in layers:
-            for name, _, _ in layer.params():
-                *path, attr = name.split(".")  # a unit's sublayer parameters are "ln1.gamma" etc.
-                yield prefix + name, reduce(getattr, path, layer), attr
-        yield "sigma_f", self, "sigma_f"
+        return layers + [("", self)]
 
     def params(self):
         """(name, value, grad) triples in declaration order."""
         return [(name, getattr(owner, attr), getattr(owner, "g" + attr))
-                for name, owner, attr in self._slots()]
+                for prefix, layer in self._layers()
+                for name, owner, attr, _, _ in param_slots(layer, prefix)]
 
     @property
     def dtype(self) -> np.dtype:
         """The dtype run_forward computes in."""
         return self.values.dtype
 
-    def install_params(self, values: np.ndarray, grads: np.ndarray, fill: bool = False) -> None:
+    def install_params(self, values: np.ndarray, grads: np.ndarray, rng=None) -> None:
         """Make values and grads themselves (not copies) the model's two
         vectors, and every parameter and gradient a view of its slice, so
-        the model takes on their dtype. With fill, each slice first takes the
-        values of the array it replaces, which is freed once its view is set."""
-        offset = 0
-        for _, owner, attr in self._slots():
-            old = getattr(owner, attr)
-            end = offset + old.size
-            view = values[offset:end].reshape(old.shape)
-            if fill:
-                view[...] = old
-            setattr(owner, attr, view)
-            setattr(owner, "g" + attr, grads[offset:end].reshape(old.shape))
-            offset = end
+        the model takes on their dtype. With rng, every slice is first
+        initialised, drawing in declaration order."""
+        bind_params([layer for _, layer in self._layers()], values, grads, rng)
         self.values, self.grads = values, grads
 
     def zero_grad(self):

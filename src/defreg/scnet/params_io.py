@@ -22,11 +22,11 @@ before it opens the file, so a failed save leaves any existing file as it
 was. load_params checks the whole file before it touches the model, so a
 rejected file leaves the model as it was. It reads the tensor section as
 one float32 array and installs one writable copy of it, which the model
-owns, as the model's flat parameter vector; every layer parameter is a
-view of it. A loaded model therefore scores in float32; widening to
-float64 would add no information. Training refuses such a model, so its
-gradients are read-only zeros that own no memory, and the constructor's
-float64 parameter and gradient vectors are freed.
+owns, as the model's flat parameter vector; install_params rebinds every
+layer parameter as a view of it. A loaded model therefore scores in
+float32; widening to float64 would add no information. Training refuses
+such a model, so its gradients are read-only zeros that own no memory, and
+the constructor's float64 buffer, which held both vectors, is freed whole.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Network layers, attention blocks, forward pass, and parameter files."""
 
 import ast
+import hashlib
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from defreg.config import PipelineConfig, scnet_config
 from defreg.consistency import CorrespondenceSet, local_consistency
 from defreg.defgraph import build_graph, member_weights
 from defreg.errors import FileFormatError, NumericalError, ValidationError
@@ -15,6 +17,8 @@ from defreg.scnet.layers import (
     GroupNorm,
     LeakyRelu,
     Linear,
+    bind_params,
+    param_slots,
     sigmoid,
     softmax_backward,
     softmax_rows,
@@ -101,6 +105,20 @@ def test_encode_sin_cos_slots_at_pi():
 
 # ----------------------------------------------------------------- layers
 
+def _bound(layer, rng):
+    """layer with its slots bound to fresh float64 vectors and initialised
+    from rng, drawing in slot order."""
+    size = sum(int(np.prod(slot[3])) for slot in param_slots(layer))
+    bind_params([layer], np.zeros(size), np.zeros(size), rng)
+    return layer
+
+
+def _params(layer):
+    """(name, value, grad) of each of layer's slots, in order."""
+    return [(name, getattr(owner, attr), getattr(owner, "g" + attr))
+            for name, owner, attr, _, _ in param_slots(layer)]
+
+
 def _fd_layer_check(layer, x, atol=1e-7):
     """Backward vs central differences for input and every parameter."""
     rng = np.random.default_rng(99)
@@ -110,7 +128,7 @@ def _fd_layer_check(layer, x, atol=1e-7):
         return float((layer.forward(inp)[0] * wsum).sum())
 
     y, cache = layer.forward(x)
-    for _, _, g in layer.params():
+    for _, _, g in _params(layer):
         g[...] = 0.0
     dx = layer.backward(cache, wsum)
 
@@ -122,7 +140,7 @@ def _fd_layer_check(layer, x, atol=1e-7):
         fd[idx] = (loss(xp) - loss(xm)) / (2 * h)
     np.testing.assert_allclose(dx, fd, atol=atol)
 
-    for name, param, grad in layer.params():
+    for name, param, grad in _params(layer):
         fd_p = np.zeros_like(param)
         for idx in np.ndindex(param.shape):
             orig = param[idx]
@@ -137,14 +155,14 @@ def _fd_layer_check(layer, x, atol=1e-7):
 
 def test_linear_backward_matches_fd():
     rng = np.random.default_rng(0)
-    _fd_layer_check(Linear(5, 4, rng), rng.normal(size=(6, 5)))
+    _fd_layer_check(_bound(Linear(5, 4), rng), rng.normal(size=(6, 5)))
 
 
 def test_groupnorm_backward_matches_fd():
     rng = np.random.default_rng(1)
-    _fd_layer_check(GroupNorm(8, 2), rng.normal(size=(5, 8)))
+    _fd_layer_check(_bound(GroupNorm(8, 2), rng), rng.normal(size=(5, 8)))
     # one group: the attention unit's layer norm
-    _fd_layer_check(GroupNorm(6, 1), np.random.default_rng(2).normal(size=(4, 6)))
+    _fd_layer_check(_bound(GroupNorm(6, 1), rng), np.random.default_rng(2).normal(size=(4, 6)))
 
 
 def test_leaky_relu_forward_and_backward():
@@ -230,7 +248,7 @@ def _unit_oracle(unit, feats, theta, slope=0.01):
 
 def test_attention_matches_dense_oracle():
     rng = np.random.default_rng(5)
-    unit = ScaUnit(8, 0.01, rng)
+    unit = _bound(ScaUnit(8, 0.01), rng)
     feats = rng.normal(size=(3, 8))
     theta = rng.uniform(size=(3, 3))
     theta = (theta + theta.T) / 2
@@ -241,7 +259,7 @@ def test_attention_matches_dense_oracle():
 
 def test_attention_zero_theta_is_uniform():
     rng = np.random.default_rng(6)
-    unit = ScaUnit(8, 0.01, rng)
+    unit = _bound(ScaUnit(8, 0.01), rng)
     feats = rng.normal(size=(4, 8))
     got = unit.forward(feats, [np.zeros((4, 4))])[0]
     np.testing.assert_allclose(got, _unit_oracle(unit, feats, np.zeros((4, 4))), atol=1e-12)
@@ -253,7 +271,7 @@ def test_attention_zero_theta_is_uniform():
 
 def test_attention_singleton_block():
     rng = np.random.default_rng(7)
-    unit = ScaUnit(8, 0.01, rng)
+    unit = _bound(ScaUnit(8, 0.01), rng)
     feats = rng.normal(size=(1, 8))
     out = unit.forward(feats, [np.ones((1, 1))])[0]
     assert out.shape == (1, 8)
@@ -262,14 +280,14 @@ def test_attention_singleton_block():
 
 def test_attention_rejects_theta_shape_mismatch():
     rng = np.random.default_rng(8)
-    unit = ScaUnit(8, 0.01, rng)
+    unit = _bound(ScaUnit(8, 0.01), rng)
     with pytest.raises(ValidationError):
         unit.forward(rng.normal(size=(3, 8)), [np.ones((2, 2))])
 
 
 def test_unit_backward_matches_fd():
     rng = np.random.default_rng(9)
-    unit = ScaUnit(8, 0.01, rng)
+    unit = _bound(ScaUnit(8, 0.01), rng)
     feats = rng.normal(size=(3, 8))
     theta = np.full((3, 3), 0.5)
     wsum = rng.normal(size=(3, 8))
@@ -279,7 +297,7 @@ def test_unit_backward_matches_fd():
         return float((out * wsum).sum())
 
     out, cache = unit.forward(feats, [theta])
-    for _, _, g in unit.params():
+    for _, _, g in _params(unit):
         g[...] = 0.0
     dfeats = unit.backward(cache, wsum)
     h = 1e-6
@@ -290,8 +308,8 @@ def test_unit_backward_matches_fd():
         fd[idx] = (loss(fp) - loss(fm)) / (2 * h)
     np.testing.assert_allclose(dfeats, fd, atol=1e-6)
 
-    name_to_grad = {n: g for n, _, g in unit.params()}
-    for name, param, _ in unit.params():
+    name_to_grad = {n: g for n, _, g in _params(unit)}
+    for name, param, _ in _params(unit):
         fd_p = np.zeros_like(param)
         for idx in np.ndindex(param.shape):
             orig = param[idx]
@@ -312,7 +330,7 @@ def _patches(rng, sizes, dim=8):
 
 def test_grouped_unit_keeps_patches_apart():
     rng = np.random.default_rng(10)
-    unit = ScaUnit(8, 0.01, rng)
+    unit = _bound(ScaUnit(8, 0.01), rng)
     sizes = (3, 1, 4, 2)
     feats, thetas = _patches(rng, sizes)
     base = unit.forward(feats, thetas)[0]
@@ -330,7 +348,7 @@ def test_grouped_unit_keeps_patches_apart():
 
 def test_grouped_unit_backward_matches_fd():
     rng = np.random.default_rng(11)
-    unit = ScaUnit(8, 0.01, rng)
+    unit = _bound(ScaUnit(8, 0.01), rng)
     feats, thetas = _patches(rng, (1, 2, 3))
     wsum = rng.normal(size=feats.shape)
 
@@ -338,11 +356,11 @@ def test_grouped_unit_backward_matches_fd():
         return float((unit.forward(feats, thetas)[0] * wsum).sum())
 
     _, cache = unit.forward(feats, thetas)
-    for _, _, g in unit.params():
+    for _, _, g in _params(unit):
         g[...] = 0.0
     dfeats = unit.backward(cache, wsum)
     h = 1e-6
-    for name, array, grad in [("feats", feats, dfeats)] + unit.params():
+    for name, array, grad in [("feats", feats, dfeats)] + _params(unit):
         fd = np.zeros_like(array)
         for idx in np.ndindex(array.shape):
             orig = array[idx]
@@ -358,7 +376,7 @@ def test_grouped_unit_backward_matches_fd():
 @pytest.mark.parametrize("sizes, rows", [((2, 2), 5), ((2, 3), 4), ((), 0)])
 def test_grouped_unit_rejects_thetas_that_do_not_partition_rows(sizes, rows):
     rng = np.random.default_rng(12)
-    unit = ScaUnit(8, 0.01, rng)
+    unit = _bound(ScaUnit(8, 0.01), rng)
     with pytest.raises(ValidationError, match="partition the feature rows"):
         unit.forward(rng.normal(size=(rows, 8)), [np.ones((m, m)) for m in sizes])
     with pytest.raises(ValidationError, match="must be square"):
@@ -744,12 +762,12 @@ def test_params_are_views_of_the_flat_vectors_in_order(kind, tmp_path):
         model = _loaded(model, tmp_path)
     start, offset = model.values.ctypes.data, 0
     for name, value, grad in model.params():
-        assert value.base is model.values, name
+        assert np.shares_memory(value, model.values), name
         assert value.ctypes.data == start + offset * model.values.itemsize, name
         assert grad.flags.writeable == (kind == "constructed"), name
         if grad.flags.writeable:
-            assert grad.base is model.grads and grad.ctypes.data - model.grads.ctypes.data == (
-                value.ctypes.data - start), name
+            assert np.shares_memory(grad, model.grads), name
+            assert grad.ctypes.data - model.grads.ctypes.data == value.ctypes.data - start, name
         offset += value.size
     assert offset == model.values.size == model.grads.size
 
@@ -769,9 +787,35 @@ def test_loading_the_default_model_peaks_within_twice_the_file(tmp_path):
     assert peak <= 2 * path.stat().st_size + 1e6
 
 
+@pytest.mark.parametrize("config, digest", [
+    (ScNetConfig(), "64665adf902eadcc189e87dbebc9e9e952405e536d066cfdfc77f65cda9fbb93"),
+    (ScNetConfig(seed=1), "53ba8a23b333bfeaa1015b828cb28bfba633f9b730482408be5fc800792060ef"),
+    (scnet_config(PipelineConfig(feature_dim=32, num_blocks=1, units_per_block=2, num_groups=2)),
+     "d4044eb94079c1e81ade8e394772a7f73db950a30cf074fac2a82b55bf61a7b1"),
+], ids=["default-seed-0", "default-seed-1", "readme-32d"])
+def test_initial_weights_are_pinned(config, digest):
+    """sha256 of the constructed values: every initial weight, drawn from
+    the seed in declaration order (init stack, units, head). readme-32d is
+    the README quick start's small.json."""
+    assert hashlib.sha256(ScNetModel(config).values.tobytes()).hexdigest() == digest
+
+
+def test_building_the_default_model_peaks_at_its_two_vectors():
+    """Layers allocate no parameter or gradient arrays of their own: the
+    constructor holds the flat values and grads and one layer's draws."""
+    tracemalloc.start()
+    try:
+        model = ScNetModel(ScNetConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= model.values.nbytes + model.grads.nbytes + 1e6
+
+
 def _param_walks_and_binds(node, func=None):
     """(line, enclosing function, kind) for every loop over a .params() call
-    ("walk") and every setattr call ("bind") under node."""
+    ("walk"), every setattr call ("bind") and every method named params
+    ("params", with its class as the function) under node."""
     found = []
     for child in ast.iter_child_nodes(node):
         iters = [gen.iter for gen in getattr(child, "generators", [])]  # comprehensions
@@ -781,24 +825,27 @@ def _param_walks_and_binds(node, func=None):
             found.append((child.lineno, func, "walk"))
         if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "setattr":
             found.append((child.lineno, func, "bind"))
+        if isinstance(node, ast.ClassDef) and isinstance(child, ast.FunctionDef) and child.name == "params":
+            found.append((child.lineno, node.name, "params"))
         found += _param_walks_and_binds(
-            child, child.name if isinstance(child, ast.FunctionDef) else func)
+            child, child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else func)
     return found
 
 
 def test_only_the_model_binds_or_walks_parameters():
-    """Only ScNetModel.install_params binds parameter attributes, and only
-    scnet/model.py loops over a .params() call: in the params() methods, the
-    constructor's size, the parameter slots and the failure-path name lookup.
-    Everything else uses the flat vectors whole."""
+    """layers.bind_params is the only setattr, so the only place that binds
+    parameters; no layer defines params(), only ScNetModel does; and only
+    scnet/model.py loops over a .params() call, in the failure-path name
+    lookup. Everything else uses the flat vectors whole."""
     src = Path(__file__).resolve().parents[1] / "src" / "defreg"
-    allowed = {("bind", "install_params")} | {
-        ("walk", func) for func in ("params", "__init__", "_slots", "param_name")}
+    allowed = {(Path("scnet", "layers.py"), "bind", "bind_params"),
+               (Path("scnet", "model.py"), "params", "ScNetModel"),
+               (Path("scnet", "model.py"), "walk", "param_name")}
     offenders = []
     for path in sorted(src.rglob("*.py")):
         rel = path.relative_to(src)
         for line, func, kind in _param_walks_and_binds(ast.parse(path.read_text(encoding="utf-8"))):
-            if rel != Path("scnet", "model.py") or (kind, func) not in allowed:
+            if (rel, kind, func) not in allowed:
                 offenders.append(f"{rel}:{line} {kind} in {func}")
     assert offenders == []
 
