@@ -22,8 +22,8 @@ from defreg.consistency import local_consistency, read_corr_csv, write_corr_csv
 from defreg.defgraph import build_graph, format_graph_dump
 from defreg.errors import (FileFormatError, NumericalError, ValidationError, format_row,
                            parse_rows, read_document, read_lines, write_lines)
-from defreg.evalmetrics import (classification_metrics, format_metrics_table,
-                                metrics_from_errors, registration_errors, write_metrics_csv)
+from defreg.evalmetrics import (classification_metrics, format_metrics_table, metrics_from_errors,
+                                registration_errors, registration_metrics, write_metrics_csv)
 from defreg.geometry import PointCloud
 from defreg.nicp import read_warp_field, solve, write_warp_field
 from defreg.pointcloud_io import read_ply, read_xyz, write_ply
@@ -198,9 +198,7 @@ def _cmd_register(args, config: PipelineConfig) -> int:
           f"{result.field.graph.num_nodes} nodes in {len(result.cost_trace) - 1} accepted "
           f"steps, final cost {float(result.cost_trace[-1])!r}")
     if args.gt:
-        gt_field = read_warp_field(args.gt)
-        err, motion = registration_errors(source, result.field, gt_field)
-        report = metrics_from_errors(err, motion)
+        report = registration_metrics(source, result.field, read_warp_field(args.gt))
         print(f"EPE vs ground truth: {float(report.epe)!r}")
     return 0
 
@@ -209,8 +207,14 @@ def _check_trace(path) -> int:
     lines = read_lines(path)
     if not lines or lines[0] != TRACE_HEADER:
         raise FileFormatError(f"{path} is not a cost trace")
+    if len(lines) < 2:
+        raise FileFormatError(f"{path}:2: no iteration 0 after the header")
     rows = ((n, line.split(",")) for n, line in enumerate(lines[1:], start=2))
-    costs = parse_rows(rows, 2, path, columns=(1,))[:, 0]
+    iterations, costs = parse_rows(rows, 2, path).T
+    wrong = np.flatnonzero(iterations != np.arange(iterations.size))
+    if wrong.size:
+        k = int(wrong[0])
+        raise FileFormatError(f"{path}:{k + 2}: expected iteration {k}, got {iterations[k]:g}")
     rises = np.flatnonzero(costs[1:] > costs[:-1])
     if rises.size:
         raise ValidationError(f"cost trace increases at iteration {rises[0] + 1}")

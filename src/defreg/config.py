@@ -4,9 +4,9 @@ Each key's default, type and bound is declared once, on the dataclass of
 the stage that consumes it: the graph and pruning keys on `_GraphConfig`
 below, the solver keys on `nicp.SolverConfig`, the network keys on
 `scnet.ScNetConfig` and the training keys on `training.TrainConfig`.
-`PipelineConfig` is derived from their fields; the two `seed` fields
-become `model_seed` and `train_seed`, and the network widths follow from
-`feature_dim`. Building a document builds every slice, so a value that
+`PipelineConfig` is derived from their fields, which are exactly the
+document's keys; the two `seed` fields become `model_seed` and
+`train_seed`. Building a document builds every slice, so a value that
 any stage would reject is rejected at load. Unknown keys are rejected
 too, so typos cannot silently fall back to defaults.
 """
@@ -55,19 +55,12 @@ _SLICES = {
     ScNetConfig: {"seed": "model_seed"},
     TrainConfig: {"seed": "train_seed"},
 }
-# ScNetConfig fields that follow from feature_dim instead of being keys
-_WIDTHS = ("init_widths", "head_widths")
 
 
 def _slice(config, cls):
     """The cls config that the document's keys describe."""
     renames = _SLICES[cls]
-    kwargs = {f.name: getattr(config, renames.get(f.name, f.name))
-              for f in fields(cls) if f.name not in _WIDTHS}
-    if cls is ScNetConfig:
-        d = config.feature_dim
-        kwargs.update(init_widths=(d, d, d), head_widths=(d // 2, d // 4, 1))
-    return cls(**kwargs)
+    return cls(**{f.name: getattr(config, renames.get(f.name, f.name)) for f in fields(cls)})
 
 
 def _check_document(config) -> None:
@@ -79,7 +72,7 @@ def _check_document(config) -> None:
 PipelineConfig = make_dataclass(
     "PipelineConfig",
     [(renames.get(f.name, f.name), f.type, field(default=f.default, metadata=f.metadata))
-     for cls, renames in _SLICES.items() for f in fields(cls) if f.name not in _WIDTHS],
+     for cls, renames in _SLICES.items() for f in fields(cls)],
     namespace={
         "__module__": __name__,
         "__doc__": "The flat config document; one field per key of the module configs.",

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from defreg.errors import ValidationError
-
 __all__ = ["Linear", "GroupNorm", "LeakyRelu", "uniform", "param_slots", "bind_params",
            "softmax_rows", "softmax_backward", "sigmoid"]
 
@@ -101,13 +99,13 @@ class LeakyRelu:
 
 class GroupNorm:
     """Per-row group normalization over channel groups, affine per channel.
-    One group normalizes each row over all its channels (layer norm)."""
+    One group normalizes each row over all its channels (layer norm); groups
+    must divide channels, which ScNetConfig checks for every width it builds."""
 
-    def __init__(self, channels: int, groups: int, eps: float = 1e-5):
-        if channels % groups != 0:
-            raise ValidationError(f"groups {groups} must divide channels {channels}")
+    eps = 1e-5
+
+    def __init__(self, channels: int, groups: int):
         self.groups = groups
-        self.eps = eps
         self.slots = [("gamma", (channels,), 1.0), ("beta", (channels,), 0.0)]
 
     def forward(self, x):

@@ -54,7 +54,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from itertools import accumulate
-from numbers import Integral
 
 import numpy as np
 
@@ -87,12 +86,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScNetConfig:
-    """Architecture hyperparameters. The defaults are the full-size model;
-    tests shrink feature_dim/blocks to keep finite-difference checks fast."""
+    """Architecture hyperparameters, one field per config document key. The
+    defaults are the full-size model; tests shrink feature_dim/blocks to keep
+    finite-difference checks fast. The init widths (d, d, d) and head widths
+    (d // 2, d // 4, 1) follow from d = feature_dim."""
 
     feature_dim: int = 256
-    init_widths: tuple = (256, 256, 256)
-    head_widths: tuple = (128, 64, 1)
     num_blocks: int = 3
     units_per_block: int = 2
     num_groups: int = 8
@@ -101,30 +100,27 @@ class ScNetConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if self.feature_dim < 2 * self.num_groups:
-            raise ValidationError("feature_dim must be at least 2 * num_groups")
-        for key in ("init_widths", "head_widths"):
-            widths = getattr(self, key)
-            if not isinstance(widths, (tuple, list)) or not widths or any(
-                    isinstance(w, bool) or not isinstance(w, Integral) or w < 1 for w in widths):
-                raise ValidationError(f"{key} must be a non-empty list of integers >= 1")
-            object.__setattr__(self, key, tuple(int(w) for w in widths))
-        if self.init_widths[-1] != self.feature_dim:
-            raise ValidationError("init widths must end at feature_dim")
-        if self.head_widths[-1] != 1:
-            raise ValidationError("head must end in a single logit")
+        g = self.num_groups
         for w in self.init_widths + self.head_widths[:-1]:
-            if w % self.num_groups != 0:
-                raise ValidationError(f"num_groups {self.num_groups} does not divide width {w}")
             # a single-channel group normalizes to a constant and kills gradients
-            if w // self.num_groups < 2:
-                raise ValidationError(f"num_groups {self.num_groups} leaves width {w} "
-                                      "fewer than 2 channels per group")
+            if w % g != 0 or w // g < 2:
+                raise ValidationError(f"feature_dim {self.feature_dim} has hidden width {w}, "
+                                      f"which num_groups {g} does not split into groups "
+                                      "of at least 2 channels")
+
+    @property
+    def init_widths(self) -> tuple:
+        return (self.feature_dim,) * 3
+
+    @property
+    def head_widths(self) -> tuple:
+        return (self.feature_dim // 2, self.feature_dim // 4, 1)
 
     def architecture(self) -> dict:
         """Descriptor of everything that determines the function shape (no seed)."""
         desc = asdict(self)
         desc.pop("seed")
+        desc.update(init_widths=list(self.init_widths), head_widths=list(self.head_widths))
         return desc
 
 
@@ -237,7 +233,7 @@ class ScNetModel:
         ]
         hidden = config.head_widths[:-1]
         self.head = _mlp(config.feature_dim, hidden, config)
-        self.head.append(Linear((config.feature_dim, *hidden)[-1], 1))  # fan-in: last hidden width
+        self.head.append(Linear(hidden[-1], 1))
         self.slots = [("sigma_f", (), 1.0)]
         size = sum(int(np.prod(s[3])) for _, layer in self._layers() for s in param_slots(layer))
         # one buffer for both vectors, so a load_params that replaces them frees it whole

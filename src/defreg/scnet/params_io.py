@@ -11,8 +11,9 @@ Layout:
 
 Nothing follows the last tensor; any byte after it is an error.
 
-The descriptor pins the architecture (widths, block counts, group count,
-activation slope), not the init seed: a file may be loaded into any model
+The descriptor pins the architecture (feature_dim, block counts, group
+count, activation slope, and the init and head widths ScNetConfig derives
+from feature_dim), not the init seed: a file may be loaded into any model
 instance compiled with the same architecture. Any other descriptor is
 rejected: it must equal, byte for byte, the one save_params writes for
 the model.

@@ -38,6 +38,7 @@ SCORE_CLAMP = 1e-7
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+GRADCHECK_STEP = 1e-5  # central-difference step of gradient_check
 
 __all__ = [
     "TrainConfig",
@@ -224,27 +225,25 @@ def make_check_scene(seed: int = 0):
     return prepare_scene(corr, sigma_n=0.25, assign_k=6, sigma_d=0.08)
 
 
-def gradient_check(seed: int = 0, step: float = 1e-5):
+def gradient_check(seed: int = 0):
     """Max relative error between analytic and central finite-difference
     gradients of the full loss on a micro model; relative error of one
     component is |a - n| / max(|a|, |n|, 1)."""
     scene = make_check_scene(seed)
-    model = ScNetModel(ScNetConfig(
-        feature_dim=16, init_widths=(16, 16, 16), head_widths=(8, 4, 1),
-        num_blocks=1, units_per_block=1, num_groups=2, seed=seed,
-    ))
+    model = ScNetModel(ScNetConfig(feature_dim=16, num_blocks=1, units_per_block=1,
+                                   num_groups=2, seed=seed))
     backward(model, scene)
     analytic = model.grads.copy()
     values = model.values  # every layer parameter is a view of it
     numeric = np.zeros_like(analytic)
     for i in range(values.size):
         base = values[i]
-        values[i] = base + step
+        values[i] = base + GRADCHECK_STEP
         hi = scene_loss(model, scene)
-        values[i] = base - step
+        values[i] = base - GRADCHECK_STEP
         lo = scene_loss(model, scene)
         values[i] = base
-        numeric[i] = (hi - lo) / (2.0 * step)
+        numeric[i] = (hi - lo) / (2.0 * GRADCHECK_STEP)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1.0)
     return float((np.abs(analytic - numeric) / denom).max())
 

@@ -136,9 +136,8 @@ def test_accept_5_pruning_improves_precision_and_registration():
         _, _, _, corr = generate_scene(scene_spec(seed))
         dataset.append(prepare_scene(corr, 0.08, 6, 0.08))
 
-    model = ScNetModel(ScNetConfig(feature_dim=32, init_widths=(32, 32, 32),
-                                   head_widths=(16, 8, 1), num_blocks=1,
-                                   units_per_block=2, num_groups=2, seed=0))
+    model = ScNetModel(ScNetConfig(feature_dim=32, num_blocks=1, units_per_block=2,
+                                   num_groups=2, seed=0))
     train(model, dataset, TrainConfig(epochs=10, learning_rate=3e-3))
 
     precision_wins = 0

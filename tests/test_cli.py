@@ -214,6 +214,9 @@ def test_eval_rejects_increasing_trace(tmp_path, mini_dataset, capsys):
         ("iteration,cost\n0,1.0\n1,abc\n", "trace.csv:3: non-numeric value 'abc'"),
         ("iteration,cost\n0,1.0\n1,nan\n", "trace.csv:3: non-finite value"),
         ("iteration,cost\n0,1.0\xe9\n", "trace.csv:2: non-ASCII byte"),
+        ("iteration,cost\n", "trace.csv:2: no iteration 0"),
+        ("iteration,cost\nfoo,1.0\n", "trace.csv:2: non-numeric value 'foo'"),
+        ("iteration,cost\n0,2.0\n7,1.0\n", "trace.csv:3: expected iteration 1, got 7"),
     ],
 )
 def test_eval_rejects_foreign_trace_file(tmp_path, mini_dataset, capsys, text, fragment):
@@ -311,9 +314,8 @@ def test_prune_kept_rows_do_not_depend_on_blas_thread_count(tmp_path):
 
 
 def test_prune_rejects_mismatched_model(tmp_path, mini_dataset, config_path, capsys):
-    other = ScNetModel(ScNetConfig(feature_dim=8, init_widths=(8, 8, 8),
-                                   head_widths=(8, 4, 1), num_blocks=1,
-                                   units_per_block=1, num_groups=2))
+    other = ScNetModel(ScNetConfig(feature_dim=8, num_blocks=1, units_per_block=1,
+                                   num_groups=1))
     model_path = tmp_path / "other.bin"
     save_params(model_path, other)
     scene = mini_dataset / "scene0"

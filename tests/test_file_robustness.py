@@ -21,8 +21,7 @@ from defreg.scnet.model import ScNetConfig, ScNetModel
 from defreg.scnet.params_io import load_params, save_params
 from defreg.synth import SceneSpec, generate_scene, write_scene_bundle
 
-_MICRO = ScNetConfig(feature_dim=8, init_widths=(8, 8, 8), head_widths=(8, 4, 1),
-                     num_blocks=1, units_per_block=1, num_groups=2)
+_MICRO = ScNetConfig(feature_dim=8, num_blocks=1, units_per_block=1, num_groups=1)
 
 READERS = {
     "source.ply": read_ply,

@@ -37,8 +37,7 @@ from defreg.training import backward, prepare_scene
 CASES = ("duplicate", "collinear", "single-point", "all-outlier")
 LABELINGS = ("inlier", "outlier", "mixed")
 
-MODEL = ScNetModel(ScNetConfig(feature_dim=8, init_widths=(8, 8, 8), head_widths=(8, 4, 1),
-                               num_blocks=1, units_per_block=1, num_groups=2))
+MODEL = ScNetModel(ScNetConfig(feature_dim=8, num_blocks=1, units_per_block=1, num_groups=1))
 
 
 def _loaded(model):

@@ -39,8 +39,7 @@ from defreg.scnet.model import (
 )
 from defreg.scnet.params_io import load_params, save_params
 
-MICRO = dict(feature_dim=8, init_widths=(8, 8, 8), head_widths=(8, 4, 1),
-             num_blocks=1, units_per_block=1, num_groups=2)
+MICRO = dict(feature_dim=8, num_blocks=1, units_per_block=1, num_groups=1)
 
 # Largest |score| gap between a loaded (float32) model and a float64 model
 # holding the same quantized values; measured at about 2.8e-7.
@@ -219,8 +218,7 @@ def test_sigmoid_extremes_are_stable():
 
 def test_groupnorm_rejects_single_channel_groups():
     with pytest.raises(ValidationError):
-        ScNetConfig(feature_dim=8, init_widths=(8, 8, 8), head_widths=(8, 4, 1),
-                    num_blocks=1, units_per_block=1, num_groups=4)
+        ScNetConfig(feature_dim=8, num_blocks=1, units_per_block=1, num_groups=4)
 
 
 # -------------------------------------------------------------- attention
@@ -645,17 +643,6 @@ def test_tape_free_forward_drops_each_cache_as_its_layer_returns():
             assert all(ref() is not None for ref in refs)
 
 
-def test_head_without_hidden_layer_builds_and_scores():
-    corr, graph, theta = _scene(13, 12)
-    model = _micro_model(head_widths=(1,))
-    head_names = [name for name, _, _ in model.params() if name.startswith("head.")]
-    assert head_names == ["head.0.w", "head.0.b"]
-    assert model.head[0].w.shape == (8, 1)
-    scores = run_forward(model, corr, graph, theta).scores
-    assert scores.shape == (12,)
-    assert (scores > 0).all() and (scores < 1).all()
-
-
 def test_backward_through_requires_tape():
     corr, graph, theta = _scene(20, 10)
     model = _micro_model()
@@ -854,7 +841,7 @@ def test_descriptor_mismatch_raises_validation(tmp_path):
     model = _micro_model()
     path = tmp_path / "m.params"
     save_params(path, model)
-    other = _micro_model(feature_dim=16, init_widths=(16, 16, 16))
+    other = _micro_model(feature_dim=16)
     with pytest.raises(ValidationError, match="descriptor mismatch"):
         load_params(path, other)
 
@@ -923,7 +910,7 @@ def test_not_a_parameter_file(tmp_path):
 def test_rejected_file_leaves_model_untouched(tmp_path, damage):
     path = tmp_path / "m.params"
     if damage is None:
-        save_params(path, _micro_model(feature_dim=16, init_widths=(16, 16, 16)))
+        save_params(path, _micro_model(feature_dim=16))
     else:
         save_params(path, _micro_model(seed=1))
         path.write_bytes(damage(path.read_bytes()))

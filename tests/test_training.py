@@ -280,10 +280,8 @@ def test_adam_decay_is_decoupled():
 # ------------------------------------------------------------------ train()
 
 def _micro_model(seed=0):
-    return ScNetModel(ScNetConfig(
-        feature_dim=16, init_widths=(16, 16, 16), head_widths=(8, 4, 1),
-        num_blocks=1, units_per_block=1, num_groups=2, seed=seed,
-    ))
+    return ScNetModel(ScNetConfig(feature_dim=16, num_blocks=1, units_per_block=1,
+                                  num_groups=2, seed=seed))
 
 
 def _tiny_dataset(n=4):

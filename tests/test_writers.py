@@ -10,6 +10,7 @@ JSON documents with sorted keys and a 2-space indent.
 """
 
 import ast
+import json
 import struct
 from pathlib import Path
 
@@ -178,6 +179,17 @@ def test_every_writer_writes_pinned_bytes(tmp_path):
                   b'"leaky_slope": 0.01, "num_blocks": 1, "num_groups": 2, "units_per_block": 1}')
     assert (tmp_path / "model.bin").read_bytes() == (
         b"DEFREGNN" + struct.pack("<II", 1, len(descriptor)) + descriptor + bytes(4 * 2794))
+    # and the descriptors of the default model and the README quick start's
+    for document, descriptor in [
+        (PipelineConfig(),
+         b'{"feature_dim": 256, "head_widths": [128, 64, 1], "init_widths": [256, 256, 256], '
+         b'"leaky_slope": 0.01, "num_blocks": 3, "num_groups": 8, "units_per_block": 2}'),
+        (PipelineConfig(feature_dim=32, num_blocks=1, units_per_block=2, num_groups=2),
+         b'{"feature_dim": 32, "head_widths": [16, 8, 1], "init_widths": [32, 32, 32], '
+         b'"leaky_slope": 0.01, "num_blocks": 1, "num_groups": 2, "units_per_block": 2}'),
+    ]:
+        architecture = scnet_config(document).architecture()
+        assert json.dumps(architecture, sort_keys=True).encode() == descriptor
 
 
 def _text_write_opens(tree):
