@@ -165,8 +165,8 @@ def furthest_point_sample(cloud, coverage: float) -> np.ndarray:
     pts = _as_points(cloud)
     if pts.shape[0] < 1:
         raise ValidationError("empty cloud")
-    if coverage <= 0:
-        raise ValidationError("coverage must be positive")
+    if not (np.isfinite(coverage) and coverage > 0):  # NaN would never stop the loop
+        raise ValidationError(f"coverage must be a finite positive number, got {coverage}")
     # per coordinate, summed x, y, z in order: the bits of np.sum over the
     # last axis, without the (n, 3) temporary
     cols = pts.T.copy()

@@ -14,9 +14,13 @@ translation increments [w_1..w_V, dt_1..dt_V], linearized at w = 0.
 The source points are fixed, so `solve` assigns them to nodes once and,
 also once per solve, writes every residual as a table of per-node terms
 minus a constant offset and sums node-pair moments of those terms
-(`_Problem`). Each field the loop visits is evaluated once from the
-table: its residuals, its cost and its rotated levers, which the next
-step's J^T r reuses. Each step assembles J^T J from the moments and the
+(`_Problem`). It sums the 13 moment columns one at a time, so set-up
+holds a few arrays of one entry per pair of terms sharing a residual
+(N k^2 of them, for k nodes per point) and never a table of all 13:
+about 2 KB per correspondence at k = 6, plus three arrays of 9 V^2
+floats. Each field the loop visits is evaluated once from the table:
+its residuals, its cost and its rotated levers, which the next step's
+J^T r reuses. Each step assembles J^T J from the moments and the
 current rotations, in time linear in the number of node pairs rather
 than in correspondences times k^2. The translation block of J^T J does
 not depend on the field, so its damped inverse is factored once per
@@ -184,6 +188,10 @@ class _Problem:
     step whitened, as G = B (I3 (x) L^-T); with skew(R m) = R skew(m) R^T,
     G[a] = (R_a (x) R_a) H[a] for the field-free whitened lever moments
     H[a, k, l, b'] = sum_b skew(m_ab)[k, l] L^-1[b', b], also computed here.
+
+    Two step buffers are made here too, once per solve, and each step
+    overwrites them: `whitened` receives G and `schur` the Schur
+    complement, so a step allocates neither 3V x 3V product.
     """
 
     config: SolverConfig
@@ -197,6 +205,32 @@ class _Problem:
     pair_moments: np.ndarray  # (P, 3, 3) M_ab
     whitener: np.ndarray      # (V, V) L^-1, where W + marquardt I = L L^T
     whitened_levers: np.ndarray  # (V, 9, V) H, row k * 3 + l
+    whitened: np.ndarray      # (V, 9, V) step buffer for G
+    schur: np.ndarray         # (3V, 3V) step buffer for the Schur complement
+
+
+def _pair_moments(groups, v: int):
+    """The node pairs (a, b) whose terms share a residual and their moments
+    W_ab (P,), m_ab (P, 3) and M_ab (P, 3, 3), from `groups` of (nodes,
+    coefs, levers) shaped (R, K), (R, K) and (R, K, 3), one residual per
+    row. Each of the 13 moment columns is built and summed on its own, so
+    the working set is a few arrays of one entry per term pair. Every pair
+    sums its terms in one fixed order, correspondences then edges, each
+    product taken as c_a c_b, c_a c_b q_a[x] or c_a c_b (q_b[x] q_a[y])."""
+    # term a on axis 1, term b on axis 2
+    keys, inverse = np.unique(np.concatenate([(v * j[:, :, None] + j[:, None, :]).ravel()
+                                              for j, _, _ in groups]), return_inverse=True)
+    terms = [(c[:, :, None] * c[:, None, :], q) for _, c, q in groups]  # (c_a c_b, q)
+
+    def column(products):
+        return np.bincount(inverse, np.concatenate([p.ravel() for p in products]),
+                           minlength=len(keys))
+
+    return (np.stack(np.divmod(keys, v), axis=1),
+            column(cc for cc, _ in terms),
+            np.stack([column(cc * q[:, :, None, x] for cc, q in terms) for x in range(3)], axis=1),
+            np.stack([column(cc * (q[:, None, :, x] * q[:, :, None, y]) for cc, q in terms)
+                      for x in range(3) for y in range(3)], axis=1).reshape(-1, 3, 3))
 
 
 def _problem(graph: DeformationGraph, corr: CorrespondenceSet,
@@ -213,36 +247,25 @@ def _problem(graph: DeformationGraph, corr: CorrespondenceSet,
         (edges, np.broadcast_to([sr, -sr], edges.shape),
          np.stack([nodes[w] - nodes[u], np.zeros((len(edges), 3))], axis=1)),
     ]
-    keys, columns = [], []
-    for j, c, q in groups:
-        # term a on axis 1, term b on axis 2: c_a c_b, c_a c_b q_a, c_a c_b q_b q_a^T
-        cc = (c[:, :, None] * c[:, None, :])[..., None]
-        outer = q[:, None, :, :, None] * q[:, :, None, None, :]
-        keys.append((v * j[:, :, None] + j[:, None, :]).ravel())
-        columns.append(np.concatenate([cc, cc * q[:, :, None, :],
-                                       cc * outer.reshape(cc.shape[:3] + (9,))],
-                                      axis=-1).reshape(-1, 13))
-    keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-    columns = np.concatenate(columns)
-    sums = np.stack([np.bincount(inverse, columns[:, i], minlength=len(keys))
-                     for i in range(13)], axis=1)
-    pairs = np.stack(np.divmod(keys, v), axis=1)
+    pairs, pair_weights, pair_levers, pair_moments = _pair_moments(groups, v)
     damped = config.marquardt * np.eye(v)
-    damped[pairs[:, 0], pairs[:, 1]] += sums[:, 0]
+    damped[pairs[:, 0], pairs[:, 1]] += pair_weights
     try:
         whitener = np.linalg.inv(np.linalg.cholesky(damped))
     except np.linalg.LinAlgError as exc:
         raise NumericalError("solver breakdown: translation block is not positive definite") from exc
-    levers = np.zeros((v, 3, 3, v))
-    levers[pairs[:, 0], :, :, pairs[:, 1]] = skew(sums[:, 1:4])
+    # the step's G buffer holds the unwhitened lever moments until the first step
+    whitened = np.zeros((v, 9, v))
+    whitened.reshape(v, 3, 3, v)[pairs[:, 0], :, :, pairs[:, 1]] = skew(pair_levers)
     term_nodes, term_coefs, term_levers = (
         np.concatenate([g[i].reshape(-1, *g[i].shape[2:]) for g in groups]) for i in range(3))
     term_rows = np.concatenate([np.repeat(np.arange(n), order.shape[1]),
                                 np.repeat(n + np.arange(len(edges)), 2)])
     offsets = np.concatenate([sc * corr.target, np.zeros((len(edges), 3))])
     return _Problem(config, offsets, term_rows, term_nodes, term_coefs, term_levers, pairs,
-                    sums[:, 0], sums[:, 4:].reshape(-1, 3, 3), whitener,
-                    (levers.reshape(9 * v, v) @ whitener.T).reshape(v, 9, v))
+                    pair_weights, pair_moments, whitener,
+                    (whitened.reshape(9 * v, v) @ whitener.T).reshape(v, 9, v),
+                    whitened, np.empty((3 * v, 3 * v)))
 
 
 class _Iterate(NamedTuple):
@@ -273,7 +296,8 @@ def _normal_equations(problem: _Problem, at: _Iterate):
     in `problem.pairs`, A being zero elsewhere; the whitened mixed block
     G = B (I3 (x) L^-T) (3V, 3V), with its translation columns ordered by
     component (x of every node, then y, then z), as the step's
-    back-substitution reads them; and J^T r (6V,) in `jacobian`'s order."""
+    back-substitution reads them, written into `problem.whitened`, so the
+    next call overwrites it; and J^T r (6V,) in `jacobian`'s order."""
     rot = at.field.rotations
     v = len(rot)
     a, b = problem.pairs[:, 0], problem.pairs[:, 1]
@@ -282,7 +306,7 @@ def _normal_equations(problem: _Problem, at: _Iterate):
     rotation = np.trace(t, axis1=1, axis2=2)[:, None, None] * np.eye(3) - t
     # (R_a (x) R_a)[i * 3 + c, k * 3 + l] = R_a[i, k] R_a[c, l]
     turns = (rot[:, :, None, :, None] * rot[:, None, :, None, :]).reshape(v, 9, 9)
-    whitened = (turns @ problem.whitened_levers).reshape(3 * v, 3 * v)
+    whitened = np.matmul(turns, problem.whitened_levers, out=problem.whitened).reshape(3 * v, 3 * v)
     r = at.residuals[problem.term_rows]
     # d r / d w_j = -c skew(l), d r / d dt_j = c I
     terms = problem.term_coefs[:, None] * np.concatenate([np.cross(at.levers, r), r], axis=1)
@@ -299,7 +323,7 @@ def _step_vector(problem: _Problem, at: _Iterate) -> np.ndarray:
     rotation, whitened, gradient = _normal_equations(problem, at)
     whitener = problem.whitener
     v = len(whitener)
-    schur = -(whitened @ whitened.T)
+    schur = np.negative(np.matmul(whitened, whitened.T, out=problem.schur), out=problem.schur)
     # the pairs are unique, so this adds each of A's blocks once
     schur.reshape(v, 3, v, 3)[problem.pairs[:, 0], :, problem.pairs[:, 1], :] += rotation
     schur[np.diag_indices_from(schur)] += problem.config.marquardt

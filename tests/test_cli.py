@@ -379,6 +379,18 @@ def test_inspect_graph(tmp_path, spec_path, capsys):
     assert main(["inspect-graph", str(scene / "corr.csv"), "--coverage", "0.1"]) == 0
 
 
+def test_inspect_graph_nan_coverage_exits_2(tmp_path):
+    # in a fresh process under a timeout: NaN coverage once sampled forever
+    write_ply(tmp_path / "c.ply", PointCloud(np.random.default_rng(0).random((240, 3))))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        str(Path(defreg.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-m", "defreg.cli", "inspect-graph",
+                           str(tmp_path / "c.ply"), "--coverage", "nan"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "coverage must be a finite positive number, got nan" in done.stderr
+
+
 @pytest.mark.parametrize("via", ["flag", "config"])
 def test_inspect_graph_huge_coverage_is_one_node(tmp_path, capsys, via):
     # coverage ** 2 overflows a Python float above about 1.3e154

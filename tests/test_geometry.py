@@ -112,6 +112,13 @@ def test_point_cloud_is_immutable():
         cloud.points[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("coverage", [0.0, -0.1, np.nan, np.inf, -np.inf])
+def test_fps_rejects_coverage_that_is_not_finite_positive(coverage):
+    cloud = PointCloud(np.random.default_rng(0).random((240, 3)))
+    with pytest.raises(ValidationError, match="coverage"):
+        furthest_point_sample(cloud, coverage)
+
+
 def test_fps_single_point():
     assert list(furthest_point_sample(PointCloud(np.zeros((1, 3))), 0.5)) == [0]
 

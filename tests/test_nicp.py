@@ -7,9 +7,9 @@ import pytest
 
 from defreg import nicp
 from defreg.consistency import CorrespondenceSet
-from defreg.defgraph import build_graph
+from defreg.defgraph import assign_points, build_graph
 from defreg.errors import FileFormatError, NumericalError, ValidationError
-from defreg.geometry import PointCloud, exp_so3, project_rotation
+from defreg.geometry import PointCloud, exp_so3, project_rotation, skew
 from defreg.nicp import (
     SolveResult,
     SolverConfig,
@@ -227,15 +227,21 @@ def test_block_normal_equations_equal_dense_products(assign_k):
     np.testing.assert_allclose(whitener @ damped @ whitener.T, np.eye(v), atol=1e-12)
 
 
-@pytest.mark.parametrize("assign_k", [6, 1])
-def test_schur_step_equals_dense_damped_solve(assign_k):
-    _, corr, graph, field = _bent_instance(4, assign_k)
-    # one more node, far from every correspondence and on no edge: its rows
-    # of J^T J are zero, so only the damping keeps the system regular
+def _far_node_instance(seed, assign_k):
+    """`_bent_instance` plus one more node, far from every correspondence
+    and on no edge: its rows of J^T J are zero, so only the damping keeps
+    the system regular."""
+    _, corr, graph, field = _bent_instance(seed, assign_k)
     far = graph.nodes.max(axis=0) + 10.0
     graph = replace(graph, nodes=np.vstack([graph.nodes, far]))
     field = WarpField(graph, np.concatenate([field.rotations, exp_so3([[0.1, 0.2, 0.3]])]),
                       np.vstack([field.translations, [0.1, 0.0, 0.0]]))
+    return corr, graph, field
+
+
+@pytest.mark.parametrize("assign_k", [6, 1])
+def test_schur_step_equals_dense_damped_solve(assign_k):
+    corr, graph, field = _far_node_instance(4, assign_k)
     cfg = SolverConfig(lambda_corr=25.0, lambda_reg=0.7)
     problem = nicp._problem(graph, corr, cfg)
     assert not (problem.pairs == graph.num_nodes - 1).any()
@@ -245,6 +251,75 @@ def test_schur_step_equals_dense_damped_solve(assign_k):
     got = nicp._step_vector(problem, nicp._evaluate(field, problem))
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
     np.testing.assert_array_equal(got[3 * graph.num_nodes - 3:3 * graph.num_nodes], 0.0)
+
+
+def _table_pair_moments(graph, corr, cfg):
+    """`_problem`'s node-pair sums from one dense (term pairs, 13) table of
+    W, m and M, each column summed by bincount: the oracle for the
+    column-at-a-time sums. Returns pairs, W_ab, M_ab, L^-1 and H."""
+    edges = np.asarray(graph.edges, dtype=np.int64).reshape(-1, 2)
+    order, weights = assign_points(corr.source, graph.nodes, graph.assign_k, graph.coverage)
+    nodes, v = graph.nodes, graph.num_nodes
+    sc, sr = np.sqrt(cfg.lambda_corr), np.sqrt(cfg.lambda_reg)
+    u, w = edges[:, 0], edges[:, 1]
+    groups = [
+        (order, sc * weights, corr.source[:, None, :] - nodes[order]),
+        (edges, np.broadcast_to([sr, -sr], edges.shape),
+         np.stack([nodes[w] - nodes[u], np.zeros((len(edges), 3))], axis=1)),
+    ]
+    keys, columns = [], []
+    for j, c, q in groups:
+        # term a on axis 1, term b on axis 2: c_a c_b, c_a c_b q_a, c_a c_b q_b q_a^T
+        cc = (c[:, :, None] * c[:, None, :])[..., None]
+        outer = q[:, None, :, :, None] * q[:, :, None, None, :]
+        keys.append((v * j[:, :, None] + j[:, None, :]).ravel())
+        columns.append(np.concatenate([cc, cc * q[:, :, None, :],
+                                       cc * outer.reshape(cc.shape[:3] + (9,))],
+                                      axis=-1).reshape(-1, 13))
+    keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    columns = np.concatenate(columns)
+    sums = np.stack([np.bincount(inverse, columns[:, i], minlength=len(keys))
+                     for i in range(13)], axis=1)
+    pairs = np.stack(np.divmod(keys, v), axis=1)
+    damped = cfg.marquardt * np.eye(v)
+    damped[pairs[:, 0], pairs[:, 1]] += sums[:, 0]
+    whitener = np.linalg.inv(np.linalg.cholesky(damped))
+    levers = np.zeros((v, 3, 3, v))
+    levers[pairs[:, 0], :, :, pairs[:, 1]] = skew(sums[:, 1:4])
+    return (pairs, sums[:, 0], sums[:, 4:].reshape(-1, 3, 3), whitener,
+            (levers.reshape(9 * v, v) @ whitener.T).reshape(v, 9, v))
+
+
+@pytest.mark.parametrize("instance", [
+    lambda: _bent_instance(3, 6)[1:3],
+    lambda: _bent_instance(3, 1)[1:3],
+    lambda: _far_node_instance(4, 6)[:2],
+], ids=["edges", "no-edges", "far-node"])
+def test_pair_moments_equal_the_dense_table_bitwise(instance):
+    corr, graph = instance()
+    cfg = SolverConfig(lambda_corr=25.0, lambda_reg=0.7)
+    problem = nicp._problem(graph, corr, cfg)
+    got = (problem.pairs, problem.pair_weights, problem.pair_moments, problem.whitener,
+           problem.whitened_levers)
+    for name, mine, want in zip(("pairs", "W", "M", "L^-1", "H"), got,
+                                _table_pair_moments(graph, corr, cfg)):
+        assert mine.shape == want.shape, name
+        np.testing.assert_array_equal(mine, want, err_msg=name)
+
+
+def test_problem_memory_is_linear_in_term_pairs(traced_peak):
+    """Set-up holds a few arrays of one entry per term pair (N k^2 of them)
+    and the 9 V^2 lever moments and step buffers, never a table of 13
+    columns per term pair (about 10 KB per correspondence at k = 6)."""
+    spec = SceneSpec(point_count=5000, surface="two-lobe", warp_kind="smooth-graph",
+                     warp_magnitude=(0.2, 0.05), inlier_ratio=1.0,
+                     inlier_noise_std=0.005, seed=1)
+    src, _, _, corr = generate_scene(spec)
+    graph = build_graph(src, 0.08, 6)
+    n, k, v = len(corr), graph.assign_k, graph.num_nodes
+    assert v < 50
+    peak = traced_peak(lambda: nicp._problem(graph, corr, SolverConfig()))
+    assert peak <= 10 * n * k**2 * 8 + 3 * 9 * v**2 * 8 + 1e6
 
 
 def test_solve_factors_the_translation_block_once(monkeypatch):

@@ -2,7 +2,6 @@
 
 import ast
 import hashlib
-import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -602,17 +601,11 @@ def test_node_groups_fill_the_budget_in_ascending_node_order():
                                rtol=1e-12, atol=1e-12)
 
 
-def test_tape_free_forward_memory_is_bounded():
+def test_tape_free_forward_memory_is_bounded(traced_peak):
     model, (corr, graph, theta) = _default_model_scene()
-    peaks = {}
-    for keep_tape in (False, True):
-        tracemalloc.start()
-        try:
-            state = run_forward(model, corr, graph, theta, keep_tape=keep_tape)
-            peaks[keep_tape] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        del state
+    peaks = {keep_tape: traced_peak(lambda: run_forward(model, corr, graph, theta,
+                                                        keep_tape=keep_tape))
+             for keep_tape in (False, True)}
     assert peaks[False] < peaks[True] / 10
 
 
@@ -759,18 +752,13 @@ def test_params_are_views_of_the_flat_vectors_in_order(kind, tmp_path):
     assert offset == model.values.size == model.grads.size
 
 
-def test_loading_the_default_model_peaks_within_twice_the_file(tmp_path):
+def test_loading_the_default_model_peaks_within_twice_the_file(tmp_path, traced_peak):
     """Above an already built model, installing a parameter file holds the
     file's bytes and one float32 copy of its tensors, and nothing per tensor."""
     path = tmp_path / "m.params"
     save_params(path, ScNetModel(ScNetConfig()))
     model = ScNetModel(ScNetConfig())
-    tracemalloc.start()
-    try:
-        load_params(path, model)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: load_params(path, model))
     assert peak <= 2 * path.stat().st_size + 1e6
 
 
@@ -787,15 +775,11 @@ def test_initial_weights_are_pinned(config, digest):
     assert hashlib.sha256(ScNetModel(config).values.tobytes()).hexdigest() == digest
 
 
-def test_building_the_default_model_peaks_at_its_two_vectors():
+def test_building_the_default_model_peaks_at_its_two_vectors(traced_peak):
     """Layers allocate no parameter or gradient arrays of their own: the
     constructor holds the flat values and grads and one layer's draws."""
-    tracemalloc.start()
-    try:
-        model = ScNetModel(ScNetConfig())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    model = ScNetModel(ScNetConfig())
+    peak = traced_peak(lambda: ScNetModel(ScNetConfig()))
     assert peak <= model.values.nbytes + model.grads.nbytes + 1e6
 
 
