@@ -167,7 +167,7 @@ def _cmd_prune(args, config: PipelineConfig) -> int:
     model = ScNetModel(scnet_config(config))
     load_params(args.model, model)
     graph = build_graph(corr.source, config.prune_coverage, config.prune_assign_k)
-    theta = local_consistency(corr, graph, config.consistency_sigma)
+    theta = local_consistency(corr, graph, config.consistency_sigma, model.dtype)
     state = run_forward(model, corr, graph, theta)
     keep = classify(state.scores, config.score_threshold)
     kept = corr.take(keep)

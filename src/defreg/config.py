@@ -13,9 +13,9 @@ too, so typos cannot silently fall back to defaults.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, make_dataclass, replace
+from dataclasses import dataclass, field, fields, make_dataclass, replace
 
-from defreg.errors import ValidationError, check_fields, positive, read_document, write_document
+from defreg.errors import ValidationError, check_fields, positive, read_document
 from defreg.nicp import SolverConfig
 from defreg.scnet.model import ScNetConfig
 from defreg.training import TrainConfig
@@ -23,7 +23,6 @@ from defreg.training import TrainConfig
 __all__ = [
     "PipelineConfig",
     "load_config",
-    "save_config",
     "with_seed",
     "scnet_config",
     "solver_config",
@@ -84,10 +83,6 @@ PipelineConfig = make_dataclass(
 
 def load_config(path) -> PipelineConfig:
     return read_document(PipelineConfig, path, "config")
-
-
-def save_config(path, config: PipelineConfig) -> None:
-    write_document(path, asdict(config))
 
 
 def with_seed(config: PipelineConfig, seed: int) -> PipelineConfig:

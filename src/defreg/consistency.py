@@ -84,7 +84,8 @@ class LocalConsistency:
     """Per-node consistency blocks, indexed like node_to_members.
 
     blocks  dict node index -> (|C_j|, |C_j|) matrix in [0, 1]; one per
-            graph patch, so only nodes with a nonempty member set appear
+            graph patch, so only nodes with a nonempty member set appear;
+            all in the dtype of the model that scores them
     """
 
     blocks: dict
@@ -130,16 +131,21 @@ def _block_consistency(src: np.ndarray, tgt: np.ndarray, sigma_d: float) -> np.n
     return np.maximum(0.0, val, out=val)
 
 
-def local_consistency(corr: CorrespondenceSet, graph: DeformationGraph, sigma_d: float) -> LocalConsistency:
+def local_consistency(corr: CorrespondenceSet, graph: DeformationGraph, sigma_d: float,
+                      dtype=np.float32) -> LocalConsistency:
     """Per-node consistency blocks over the members of each graph node.
 
     The graph must have been built over the correspondences' source
     endpoints, so member indices index into ``corr``. Only the graph's
-    patches get a block. Coordinates whose squared distances overflow leave
-    NaN in a block and raise NumericalError naming the node.
+    patches get a block. Each block is built in float64 and stored in dtype:
+    float32 for a model loaded from a parameter file, float64 for training.
+    Coordinates whose squared distances overflow leave NaN in a block and
+    raise NumericalError naming the node.
     """
     if sigma_d <= 0:
         raise ValidationError("sigma_d must be positive")
+    if np.dtype(dtype) not in (np.float32, np.float64):
+        raise ValidationError(f"consistency blocks are float32 or float64, not {np.dtype(dtype)}")
     if graph.num_points != len(corr):
         raise ValidationError(
             f"graph covers {graph.num_points} points but there are {len(corr)} correspondences"
@@ -149,7 +155,7 @@ def local_consistency(corr: CorrespondenceSet, graph: DeformationGraph, sigma_d:
         block = _block_consistency(corr.source[members], corr.target[members], float(sigma_d))
         if np.isnan(block).any():
             raise NumericalError(f"local consistency: node {j}'s pairwise distances overflow")
-        blocks[j] = block
+        blocks[j] = block.astype(dtype, copy=False)
     return LocalConsistency(blocks=blocks)
 
 

@@ -44,10 +44,12 @@ a tape that grows with every unit of every group.
 
 The pass computes in the dtype of the model's parameters: float64 for a
 constructed model (training and its gradient checks), float32 for one
-loaded from a parameter file, which stores float32. The encoded input,
-consistency blocks and skinning weights are built in float64 and cast to
-that dtype where the pass takes them up; scores are the sigmoid of float64
-logits in both cases.
+loaded from a parameter file, which stores float32. local_consistency
+builds the consistency blocks in float64 and stores them in that dtype,
+so they are rounded once, at build time; a block in another dtype is
+rejected, not cast. The encoded input and skinning weights are built in
+float64 and cast to that dtype where the pass takes them up; scores are
+the sigmoid of float64 logits in both cases.
 """
 
 from __future__ import annotations
@@ -343,11 +345,16 @@ class _Group:
 
 def _node_groups(graph: DeformationGraph, theta: LocalConsistency, dtype, width: int) -> list:
     """The graph's patches in ascending j, split into groups of at most
-    _GROUP_ENTRIES rows x width entries; every group holds at least one patch."""
+    _GROUP_ENTRIES rows x width entries; every group holds at least one patch,
+    and every patch a block in theta in dtype."""
     parts, filled = [], 0  # per group: its patches; the last group's rows
     for j, members, alpha in graph.patches:
         if j not in theta.blocks:
             raise ValidationError(f"consistency blocks missing node {j}")
+        if theta.blocks[j].dtype != dtype:
+            raise ValidationError(f"node {j}'s consistency block is {theta.blocks[j].dtype}, but "
+                                  f"the model computes in {dtype}; build the blocks with "
+                                  "local_consistency(..., dtype=model.dtype)")
         if not parts or (filled + members.size) * width > _GROUP_ENTRIES:
             parts.append([])
             filled = 0
@@ -402,12 +409,13 @@ def _backward(layers, caches, dy):
 
 def run_forward(model: ScNetModel, corr: CorrespondenceSet, graph: DeformationGraph,
                 theta: LocalConsistency, keep_tape: bool = False) -> ForwardState:
-    """Full forward pass in the dtype of the model's parameters. With
-    keep_tape every layer cache is kept for backward_through; without it the
-    caches are dropped as the pass goes. Both run the same operations in the
-    same order, so features and scores are bitwise the same either
-    way. Non-finite logits (a float32 pass overflows on coordinates above
-    about 3e38) raise NumericalError."""
+    """Full forward pass in the dtype of the model's parameters, which
+    theta's blocks must share (none is cast; another dtype raises
+    ValidationError). With keep_tape every layer cache is kept for
+    backward_through; without it the caches are dropped as the pass goes.
+    Both run the same operations in the same order, so features and scores
+    are bitwise the same either way. Non-finite logits (a float32 pass
+    overflows on coordinates above about 3e38) raise NumericalError."""
     if graph.num_points != len(corr):
         raise ValidationError("graph was not built over these correspondences")
     dtype = model.dtype
@@ -421,8 +429,8 @@ def run_forward(model: ScNetModel, corr: CorrespondenceSet, graph: DeformationGr
         blended = np.zeros_like(feats)
         for group in groups:
             unit_caches = [] if keep_tape else None
-            thetas = [theta.blocks[j].astype(dtype, copy=False) for j in group.nodes]
-            z = _forward(block, feats[group.rows], unit_caches, thetas)
+            z = _forward(block, feats[group.rows], unit_caches,
+                         [theta.blocks[j] for j in group.nodes])
             if keep_tape:
                 tape.blocks[-1].append(unit_caches)
             group.add_to(blended, group.alpha * z)

@@ -197,11 +197,12 @@ def backward(model: ScNetModel, batch: TrainScene, gamma: float = 2.0, loss_lamb
 
 def prepare_scene(corr: CorrespondenceSet, sigma_n: float, assign_k: int,
                   sigma_d: float) -> TrainScene:
-    """Build the pruning graph and consistency blocks for a labeled set."""
+    """Build the pruning graph and consistency blocks for a labeled set; the
+    blocks are float64, the dtype of the constructed models training runs on."""
     if corr.labels is None:
         raise ValidationError("correspondence set has no labels")
     graph = build_graph(corr.source, sigma_n, assign_k)
-    theta = local_consistency(corr, graph, sigma_d)
+    theta = local_consistency(corr, graph, sigma_d, np.float64)
     return TrainScene(corr=corr, graph=graph, theta=theta)
 
 

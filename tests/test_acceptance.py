@@ -86,14 +86,20 @@ def test_accept_3_rigid_recovery():
 
 
 def test_accept_4_consistency_oracle():
-    # node-assembled blocks must equal the direct pairwise formula bitwise
+    # node-assembled float64 blocks must equal the direct pairwise formula
+    # bitwise, and the default (float32) blocks must be those bits rounded
     spec = SceneSpec(point_count=180, surface="two-lobe", warp_kind="smooth-graph",
                      warp_magnitude=(0.2, 0.05), inlier_ratio=0.5,
                      inlier_noise_std=0.005, seed=7)
     _, _, _, corr = generate_scene(spec)
     assert len(corr) <= 200
     graph = build_graph(corr.source, 0.08, 6)
-    theta = local_consistency(corr, graph, 0.08)
+    theta = local_consistency(corr, graph, 0.08, dtype=np.float64)
+    narrow = local_consistency(corr, graph, 0.08)
+    assert narrow.blocks.keys() == theta.blocks.keys()
+    for node, block in theta.blocks.items():
+        assert block.dtype == np.float64 and narrow.blocks[node].dtype == np.float32
+        assert narrow.blocks[node].tobytes() == block.astype(np.float32).tobytes()
     checked = 0
     for node, block in theta.blocks.items():
         members = graph.node_to_members[node]
@@ -111,7 +117,7 @@ def test_accept_4_consistency_oracle():
                       inlier_noise_std=0.0, seed=3)
     _, _, _, rcorr = generate_scene(rigid)
     rgraph = build_graph(rcorr.source, 0.08, 6)
-    rtheta = local_consistency(rcorr, rgraph, 0.08)
+    rtheta = local_consistency(rcorr, rgraph, 0.08, dtype=np.float64)
     worst = 0.0
     for node, block in rtheta.blocks.items():
         members = rgraph.node_to_members[node]
@@ -119,8 +125,9 @@ def test_accept_4_consistency_oracle():
         if inl.size:
             worst = max(worst, float(np.abs(block[np.ix_(inl, inl)] - 1.0).max()))
     assert worst < 1e-9
-    print(f"[4] PASS consistency oracle: {checked} block entries bitwise-equal to the "
-          f"pairwise formula; rigid inlier deviation {worst:.2e} (< 1e-9)")
+    print(f"[4] PASS consistency oracle: {checked} float64 block entries bitwise-equal to "
+          f"the pairwise formula, float32 blocks their rounding; rigid inlier deviation "
+          f"{worst:.2e} (< 1e-9)")
 
 
 def test_accept_5_pruning_improves_precision_and_registration():
@@ -146,7 +153,7 @@ def test_accept_5_pruning_improves_precision_and_registration():
     for seed in range(5000, 5030):
         src, _, gt, corr = generate_scene(scene_spec(seed))
         graph = build_graph(corr.source, 0.08, 6)
-        theta = local_consistency(corr, graph, 0.08)
+        theta = local_consistency(corr, graph, 0.08, dtype=model.dtype)
         scores = run_forward(model, corr, graph, theta).scores
         keep = classify(scores, 0.4)
         precision, _ = classification_metrics(keep, corr.labels)

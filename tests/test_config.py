@@ -11,13 +11,12 @@ from defreg.config import (
     _GraphConfig,
     _slice,
     load_config,
-    save_config,
     scnet_config,
     solver_config,
     train_config,
     with_seed,
 )
-from defreg.errors import FileFormatError, ValidationError
+from defreg.errors import FileFormatError, ValidationError, write_document
 from defreg.nicp import SolverConfig
 from defreg.scnet.model import ScNetConfig
 from defreg.training import TrainConfig
@@ -56,7 +55,7 @@ def test_save_load_round_trip(tmp_path):
     cfg = PipelineConfig(feature_dim=32, num_groups=4, epochs=7, learning_rate=3e-3,
                          lambda_reg=0.5, train_seed=11, augment=True)
     path = tmp_path / "config.json"
-    save_config(path, cfg)
+    write_document(path, dataclasses.asdict(cfg))
     assert load_config(path) == cfg
     # and the document is plain sorted JSON
     data = json.loads(path.read_text())
@@ -66,8 +65,8 @@ def test_save_load_round_trip(tmp_path):
 def test_save_is_deterministic(tmp_path):
     cfg = PipelineConfig()
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    save_config(p1, cfg)
-    save_config(p2, cfg)
+    write_document(p1, dataclasses.asdict(cfg))
+    write_document(p2, dataclasses.asdict(cfg))
     assert p1.read_bytes() == p2.read_bytes()
 
 

@@ -14,6 +14,7 @@ from defreg.consistency import (
 from defreg.defgraph import build_graph
 from defreg.errors import FileFormatError, ValidationError
 from defreg.geometry import exp_so3
+from defreg.synth import SceneSpec, generate_scene
 
 
 def _pair(x_dist, y_dist):
@@ -59,8 +60,9 @@ def test_blocks_match_scalar_pairwise_bitwise():
     tgt = src + rng.normal(scale=0.05, size=(12, 3))
     corr = CorrespondenceSet(src, tgt)
     graph = build_graph(src, 0.15, 3)
-    local = local_consistency(corr, graph, 0.08)
+    local = local_consistency(corr, graph, 0.08, dtype=np.float64)
     for j, block in local.blocks.items():
+        assert block.dtype == np.float64  # a float32 block would compare in float32
         members = graph.node_to_members[j]
         for a, ia in enumerate(members):
             for b, ib in enumerate(members):
@@ -122,6 +124,30 @@ def test_count_mismatch_rejected():
     corr = CorrespondenceSet(src[:3], src[:3])
     with pytest.raises(ValidationError, match="correspondences"):
         local_consistency(corr, graph, 0.08)
+
+
+def test_local_consistency_rejects_a_non_float_dtype():
+    src = np.zeros((3, 3)) + np.arange(3)[:, None] * 0.01
+    corr = CorrespondenceSet(src, src)
+    with pytest.raises(ValidationError, match="float32 or float64, not int64"):
+        local_consistency(corr, build_graph(src, 0.25, 2), 0.08, dtype=np.int64)
+
+
+def test_default_blocks_are_float32_and_built_within_their_own_bytes(traced_peak):
+    """The prune scene's N = 2000: building theta holds the float32 blocks
+    plus a few float64 blocks' worth of scratch, never a float64 theta."""
+    spec = SceneSpec(point_count=2000, surface="two-lobe", warp_kind="smooth-graph",
+                     warp_magnitude=(0.2, 0.05), inlier_ratio=0.5,
+                     inlier_noise_std=0.005, seed=1000)
+    corr = generate_scene(spec)[3]
+    graph = build_graph(corr.source, 0.08, 6)
+    built = []
+    peak = traced_peak(lambda: built.append(local_consistency(corr, graph, 0.08)))
+    blocks = built[0].blocks.values()
+    assert all(block.dtype == np.float32 for block in blocks)
+    entries = sum(block.size for block in blocks)
+    largest = max(block.size for block in blocks) * 8
+    assert peak <= 4 * entries + 4 * largest
 
 
 def _labeled_corr(seed=4, n=9):

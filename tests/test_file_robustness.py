@@ -7,14 +7,16 @@ reads it back. The reader must return a result or raise FileFormatError
 the user as a traceback with exit 1.
 """
 
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defreg.cli import _check_trace, main
-from defreg.config import PipelineConfig, load_config, save_config
+from defreg.config import PipelineConfig, load_config
 from defreg.consistency import read_corr_csv
-from defreg.errors import FileFormatError, ValidationError, read_document
+from defreg.errors import FileFormatError, ValidationError, read_document, write_document
 from defreg.nicp import read_warp_field
 from defreg.pointcloud_io import read_ply, read_xyz
 from defreg.scnet.model import ScNetConfig, ScNetModel
@@ -43,7 +45,7 @@ def written(tmp_path_factory):
     write_scene_bundle(scene, spec, *generate_scene(spec))
     assert main(["register", "--corr", str(scene / "corr.csv"),
                  "--source", str(scene / "source.ply"), "--out", str(scene / "est.txt")]) == 0
-    save_config(scene / "config.json", PipelineConfig())
+    write_document(scene / "config.json", asdict(PipelineConfig()))
     save_params(scene / "model.params", ScNetModel(_MICRO))
     ply_lines = (scene / "source.ply").read_bytes().split(b"end_header\n")
     (scene / "source.xyz").write_bytes(ply_lines[1])  # the PLY body is XYZ text

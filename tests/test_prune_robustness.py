@@ -8,10 +8,11 @@ and 1e200. It then runs the chain `prune` runs: the pruning graph, the
 consistency blocks and the micro model's forward pass, with the coverage
 and sigma_d in proportion to the scale. The forward pass runs twice: on the
 constructed (float64) model and on the same model loaded from a parameter
-file, which scores in float32 and overflows far sooner. The scores must be
-finite and in [0, 1], or the step must raise ValidationError (exit 2) or
-NumericalError (exit 3); any other exception would reach the user as a
-traceback with exit 1, and a NaN score as a complaint about the scores file.
+file, which scores in float32 and overflows far sooner; each takes the
+consistency blocks in its own dtype. The scores must be finite and in
+[0, 1], or the step must raise ValidationError (exit 2) or NumericalError
+(exit 3); any other exception would reach the user as a traceback with
+exit 1, and a NaN score as a complaint about the scores file.
 
 The same correspondences, labelled all inlier, all outlier or mixed, then
 run the chain one `train` step runs: `prepare_scene` and `backward` on the
@@ -87,10 +88,11 @@ def test_prune_chain_on_degenerate_geometry(case, count, exponent, seed, labelin
         try:
             corr = CorrespondenceSet(scale * source, scale * target, labels)
             graph = build_graph(corr.source, 0.3 * scale, 6)
-            theta = local_consistency(corr, graph, 0.08 * scale)
+            thetas = [local_consistency(corr, graph, 0.08 * scale, dtype=model.dtype)
+                      for model in MODELS]
         except (ValidationError, NumericalError):
             return
-        for model in MODELS:
+        for model, theta in zip(MODELS, thetas):
             try:
                 scores = run_forward(model, corr, graph, theta).scores
             except (ValidationError, NumericalError):

@@ -67,13 +67,15 @@ def _widened(model):
     return wide
 
 
-def _scene(seed=0, n=10, coverage=0.25, assign_k=3):
+def _scene(seed=0, n=10, coverage=0.25, assign_k=3, dtype=np.float64):
+    """corr, graph and theta, with theta in dtype: the dtype of the model
+    that scores it, float64 for a constructed one."""
     rng = np.random.default_rng(seed)
     src = rng.uniform(size=(n, 3)) * 0.4
     tgt = src + rng.normal(scale=0.03, size=src.shape)
     corr = CorrespondenceSet(src, tgt)
     graph = build_graph(src, coverage, assign_k)
-    theta = local_consistency(corr, graph, 0.08)
+    theta = local_consistency(corr, graph, 0.08, dtype=dtype)
     return corr, graph, theta
 
 
@@ -506,7 +508,7 @@ def test_forward_permutation_equivariance():
     perm = np.concatenate([[0], 1 + rng.permutation(len(corr) - 1)])
     corr_p = CorrespondenceSet(corr.source[perm], corr.target[perm])
     graph_p = build_graph(corr_p.source, 0.25, 3)
-    theta_p = local_consistency(corr_p, graph_p, 0.08)
+    theta_p = local_consistency(corr_p, graph_p, 0.08, dtype=model.dtype)
     got = run_forward(model, corr_p, graph_p, theta_p).scores
     np.testing.assert_allclose(got, base[perm], atol=1e-10)
 
@@ -514,7 +516,7 @@ def test_forward_permutation_equivariance():
 def test_run_forward_rejects_foreign_graph():
     corr, graph, theta = _scene(17, 8)
     other = CorrespondenceSet(corr.source[:5], corr.target[:5])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="graph was not built over these"):
         run_forward(_micro_model(), other, graph, theta)
 
 
@@ -527,6 +529,19 @@ def test_run_forward_rejects_missing_theta_block():
 
     with pytest.raises(ValidationError, match="missing node"):
         run_forward(_micro_model(), corr, graph, LocalConsistency(broken))
+
+
+@pytest.mark.parametrize("kind", ["constructed", "loaded"])
+def test_run_forward_rejects_theta_in_another_dtype(kind, tmp_path):
+    """Blocks are taken in the model's dtype as they are, never cast."""
+    model = _micro_model()
+    if kind == "loaded":
+        model = _loaded(model, tmp_path)
+    other = np.dtype(np.float32 if kind == "constructed" else np.float64)
+    corr, graph, theta = _scene(18, 8, dtype=other)
+    with pytest.raises(ValidationError, match=f"block is {other}, but the model computes in "
+                                              f"{model.dtype}"):
+        run_forward(model, corr, graph, theta)
 
 
 def _default_model_scene():
@@ -552,8 +567,8 @@ def test_run_forward_blends_like_aggregate_bitwise(kind, tmp_path):
     model = _micro_model(seed=6, num_blocks=2, units_per_block=2)
     if kind == "loaded":
         model = _loaded(model, tmp_path)
-    corr, graph, theta = _scene(21, 40, assign_k=3)
     dtype = model.dtype
+    corr, graph, theta = _scene(21, 40, assign_k=3, dtype=dtype)
     feats = encode_input(corr).astype(dtype)
     for layer in model.init:
         feats = layer.forward(feats)[0]
@@ -563,7 +578,7 @@ def test_run_forward_blends_like_aggregate_bitwise(kind, tmp_path):
             if members.size:
                 z = feats[members]
                 for unit in block:
-                    z, _ = unit.forward(z, [theta.blocks[j].astype(dtype)])
+                    z, _ = unit.forward(z, [theta.blocks[j]])
                 node_out[j] = z
         feats = aggregate(node_out, graph)
     got = run_forward(model, corr, graph, theta).features
@@ -702,7 +717,7 @@ def test_params_round_trip_quantized(tmp_path):
 
 
 def test_params_round_trip_scores_stable(tmp_path):
-    corr, graph, theta = _scene(19, 10)
+    corr, graph, theta = _scene(19, 10, dtype=np.float32)
     model = _micro_model(seed=2)
     path = tmp_path / "m.params"
     save_params(path, model)
@@ -720,7 +735,7 @@ def test_loaded_model_scores_in_float32_within_tolerance(size, tmp_path):
     else:
         model, (corr, graph, theta) = _default_model_scene()
     loaded = _loaded(model, tmp_path)
-    narrow = run_forward(loaded, corr, graph, theta)
+    narrow = run_forward(loaded, corr, graph, local_consistency(corr, graph, 0.08))
     wide = run_forward(_widened(loaded), corr, graph, theta)
     assert (model.dtype, loaded.dtype) == (np.float64, np.float32)
     assert (wide.features.dtype, narrow.features.dtype) == (np.float64, np.float32)

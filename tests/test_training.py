@@ -417,9 +417,11 @@ def test_saved_model_prunes_like_the_model_train_produced(tmp_path):
     for seed in range(5000, 5005):
         corr = corr_for(seed)
         graph = build_graph(corr.source, config.prune_coverage, config.prune_assign_k)
-        theta = local_consistency(corr, graph, config.consistency_sigma)
-        wide = run_forward(model, corr, graph, theta).scores
-        narrow = run_forward(loaded, corr, graph, theta).scores
+        scores = []
+        for m in (model, loaded):  # each takes the blocks in its own dtype
+            theta = local_consistency(corr, graph, config.consistency_sigma, dtype=m.dtype)
+            scores.append(run_forward(m, corr, graph, theta).scores)
+        wide, narrow = scores
         assert np.abs(narrow - wide).max() <= tol
         differ = np.setxor1d(classify(wide, tau), classify(narrow, tau))
         assert (np.abs(wide[differ] - tau) <= tol).all()

@@ -12,14 +12,16 @@ JSON documents with sorted keys and a 2-space indent.
 import ast
 import json
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from defreg import cli
-from defreg.config import PipelineConfig, save_config, scnet_config
+from defreg.config import PipelineConfig, scnet_config
 from defreg.consistency import CorrespondenceSet, write_corr_csv
 from defreg.defgraph import build_graph
+from defreg.errors import write_document
 from defreg.evalmetrics import MetricsReport, write_metrics_csv
 from defreg.geometry import PointCloud
 from defreg.nicp import WarpField, write_warp_field
@@ -151,7 +153,7 @@ def test_every_writer_writes_pinned_bytes(tmp_path):
                                            (1, 5e-324, -0.0, BIG, 0.0027)])
     config = PipelineConfig(feature_dim=16, num_blocks=1, units_per_block=1, num_groups=2,
                             learning_rate=5e-324)
-    save_config(tmp_path / "config.json", config)
+    write_document(tmp_path / "config.json", asdict(config))
     write_scene_bundle(tmp_path / "bundle", SceneSpec(point_count=2, seed=7),
                        PointCloud(source), PointCloud(target), field, corr)
 
