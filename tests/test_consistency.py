@@ -49,8 +49,9 @@ def test_pairwise_rejects_bad_sigma():
 def test_single_correspondence_single_node():
     corr = CorrespondenceSet(np.array([[0.1, 0.2, 0.3]]), np.array([[0.4, 0.5, 0.6]]))
     graph = build_graph(corr.source, 1.0, 6)
-    local = local_consistency(corr, graph, 0.08)
+    local = local_consistency(corr, graph, 0.08, dtype=np.float64)
     assert set(local.blocks) == {0}
+    assert local.blocks[0].dtype == np.float64
     np.testing.assert_array_equal(local.blocks[0], [[1.0]])
 
 
@@ -77,8 +78,9 @@ def test_blocks_are_symmetric_unit_diagonal():
     src = rng.uniform(size=(30, 3)) * 0.3
     corr = CorrespondenceSet(src, src + rng.normal(scale=0.02, size=src.shape))
     graph = build_graph(src, 0.2, 4)
-    local = local_consistency(corr, graph, 0.08)
+    local = local_consistency(corr, graph, 0.08, dtype=np.float64)
     for block in local.blocks.values():
+        assert block.dtype == np.float64  # float32 rounding could hide an asymmetry
         np.testing.assert_array_equal(block, block.T)
         np.testing.assert_array_equal(np.diag(block), np.ones(block.shape[0]))
         assert block.min() >= 0.0 and block.max() <= 1.0
@@ -91,8 +93,9 @@ def test_rigid_motion_gives_unit_consistency():
     tgt = src @ rot.T + np.array([0.3, -0.2, 0.1])
     corr = CorrespondenceSet(src, tgt)
     graph = build_graph(src, 0.4, 4)
-    local = local_consistency(corr, graph, 0.08)
+    local = local_consistency(corr, graph, 0.08, dtype=np.float64)
     for block in local.blocks.values():
+        assert block.dtype == np.float64  # float32 spacing near 1 is 6e-8, above atol
         np.testing.assert_allclose(block, 1.0, atol=1e-9)
 
 
