@@ -105,30 +105,44 @@ def pairwise_consistency(c_i, c_j, sigma_d: float) -> float:
     return float(np.maximum(0.0, val))
 
 
-def _pairwise_distances(p: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    # per coordinate, summed x, y, z in order: the bits of summing the
-    # squares over the last axis, without the (M, M, 3) temporaries
-    np.subtract(p[:, None, 0], p[None, :, 0], out=out)
+# A consistency block is built a chunk of rows at a time: each of the
+# chunk's three float64 working arrays holds at most this many entries.
+_CHUNK_ENTRIES = 1 << 15
+
+
+def _pairwise_distances(rows: np.ndarray, p: np.ndarray, out: np.ndarray,
+                        scratch: np.ndarray) -> np.ndarray:
+    # from each of rows to each of p, per coordinate, summed x, y, z in
+    # order: the bits of summing the squares over the last axis, without
+    # the (M, M, 3) temporaries
+    np.subtract(rows[:, None, 0], p[None, :, 0], out=out)
     out *= out
     for a in (1, 2):
-        np.subtract(p[:, None, a], p[None, :, a], out=scratch)
+        np.subtract(rows[:, None, a], p[None, :, a], out=scratch)
         scratch *= scratch
         out += scratch
     return np.sqrt(out, out=out)
 
 
-def _block_consistency(src: np.ndarray, tgt: np.ndarray, sigma_d: float) -> np.ndarray:
-    """[1 - (|dx - dy| / sigma_d)^2]_+, built in place in the source
-    distances; both distance sums share one scratch block."""
+def _block_consistency(src: np.ndarray, tgt: np.ndarray, sigma_d: float, dtype) -> np.ndarray:
+    """[1 - (|dx - dy| / sigma_d)^2]_+ as an (M, M) block in dtype, built in
+    row chunks: each chunk is computed in float64, in place in its source
+    distances, and written straight into the block. Every step is
+    elementwise, so the block is the rounding of the whole float64 one."""
     m = src.shape[0]
-    scratch = np.empty((m, m))
-    val = _pairwise_distances(src, np.empty((m, m)), scratch)
-    val -= _pairwise_distances(tgt, np.empty((m, m)), scratch)
-    np.abs(val, out=val)
-    val *= val
-    val /= sigma_d * sigma_d
-    np.subtract(1.0, val, out=val)
-    return np.maximum(0.0, val, out=val)
+    block = np.empty((m, m), dtype)
+    step = max(1, _CHUNK_ENTRIES // m)
+    dx, dy, scratch = np.empty((3, min(step, m), m))
+    for a in range(0, m, step):
+        n = min(step, m - a)
+        val = _pairwise_distances(src[a:a + n], src, dx[:n], scratch[:n])
+        val -= _pairwise_distances(tgt[a:a + n], tgt, dy[:n], scratch[:n])
+        np.abs(val, out=val)
+        val *= val
+        val /= sigma_d * sigma_d
+        np.subtract(1.0, val, out=val)
+        np.maximum(0.0, val, out=block[a:a + n])
+    return block
 
 
 def local_consistency(corr: CorrespondenceSet, graph: DeformationGraph, sigma_d: float,
@@ -137,8 +151,9 @@ def local_consistency(corr: CorrespondenceSet, graph: DeformationGraph, sigma_d:
 
     The graph must have been built over the correspondences' source
     endpoints, so member indices index into ``corr``. Only the graph's
-    patches get a block. Each block is built in float64 and stored in dtype:
-    float32 for a model loaded from a parameter file, float64 for training.
+    patches get a block. Each block is computed in float64, a chunk of rows
+    at a time, and stored in dtype: float32 for a model loaded from a
+    parameter file, float64 for training.
     Coordinates whose squared distances overflow leave NaN in a block and
     raise NumericalError naming the node.
     """
@@ -152,10 +167,10 @@ def local_consistency(corr: CorrespondenceSet, graph: DeformationGraph, sigma_d:
         )
     blocks = {}
     for j, members, _ in graph.patches:
-        block = _block_consistency(corr.source[members], corr.target[members], float(sigma_d))
-        if np.isnan(block).any():
+        block = _block_consistency(corr.source[members], corr.target[members], float(sigma_d), dtype)
+        if np.isnan(block.max()):  # max propagates NaN, and needs no mask
             raise NumericalError(f"local consistency: node {j}'s pairwise distances overflow")
-        blocks[j] = block.astype(dtype, copy=False)
+        blocks[j] = block
     return LocalConsistency(blocks=blocks)
 
 

@@ -67,7 +67,9 @@ class Linear:
         self.slots = [("w", (n_in, n_out), uniform(n_in)), ("b", (n_out,), uniform(n_in))]
 
     def forward(self, x):
-        return x @ self.w + self.b, x
+        y = x @ self.w
+        y += self.b
+        return y, x
 
     def backward(self, cache, dy):
         x = cache
@@ -135,10 +137,12 @@ class GroupNorm:
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
-    e = x - x.max(axis=1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
-    return e
+    """exp(x - max) / sum along each row, computed in place: x is
+    overwritten with its softmax and returned."""
+    x -= x.max(axis=1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=1, keepdims=True)
+    return x
 
 
 def softmax_backward(softmax_out: np.ndarray, dy: np.ndarray) -> np.ndarray:

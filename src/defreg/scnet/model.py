@@ -168,12 +168,19 @@ class ScaUnit:
             attn = softmax_rows(logits)
             np.matmul(attn, v[a:b], out=mixed[a:b])
             attns.append(attn)
+        # both residuals are added in place, and each sum is dropped once
+        # its norm has read it: no cache holds proj, u1 or u2
         proj, c_proj = self.attn_out.forward(mixed)
-        z1, c_ln1 = self.ln1.forward(feats + proj)
+        proj += feats
+        z1, c_ln1 = self.ln1.forward(proj)
+        del proj
         u1, c_ff1 = self.ff1.forward(z1)
         h1, c_act = self.act.forward(u1)
+        del u1
         u2, c_ff2 = self.ff2.forward(h1)
-        z2, c_ln2 = self.ln2.forward(z1 + u2)
+        u2 += z1
+        z2, c_ln2 = self.ln2.forward(u2)
+        del u2
         cache = (feats, spans, thetas, q, k, v, attns, c_proj, c_ln1, c_ff1, c_act, c_ff2, c_ln2)
         return z2, cache
 

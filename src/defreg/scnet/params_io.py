@@ -21,19 +21,25 @@ the model.
 save_params refuses a model with a value that is not finite in float32
 before it opens the file, so a failed save leaves any existing file as it
 was. load_params checks the whole file before it touches the model, so a
-rejected file leaves the model as it was. It reads the tensor section as
-one float32 array and installs one writable copy of it, which the model
-owns, as the model's flat parameter vector; install_params rebinds every
-layer parameter as a view of it. A loaded model therefore scores in
-float32; widening to float64 would add no information. Training refuses
-such a model, so its gradients are read-only zeros that own no memory, and
-the constructor's float64 buffer, which held both vectors, is freed whole.
+rejected file leaves the model as it was. It checks the header, the
+descriptor and, against the file's size, the tensor section's length
+before it reads any tensor, so a file of another kind or with trailing
+bytes is rejected from its first bytes. It then reads the tensor section
+straight into one fresh float32 array, which the model owns and installs as
+its flat parameter vector; no other copy of the file is held, and
+install_params rebinds every layer parameter as a view of it. A loaded
+model therefore scores in float32; widening to float64 would add no
+information. Training refuses such a model, so its gradients are read-only
+zeros that own no memory, and the constructor's float64 buffer, which held
+both vectors, is freed whole.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+import sys
 
 import numpy as np
 
@@ -64,31 +70,34 @@ def load_params(path, model: ScNetModel) -> None:
     """Install the file's float32 parameters in the model. The file
     descriptor must match the model's compiled architecture exactly."""
     with open(path, "rb") as fh:
-        data = memoryview(fh.read())  # slices of a memoryview copy no bytes
-    offset = 0
+        left = os.fstat(fh.fileno()).st_size
 
-    def take(nbytes: int, what: str) -> memoryview:
-        nonlocal offset
-        if len(data) - offset < nbytes:
-            raise FileFormatError(f"{path}: truncated at {what}")
-        offset += nbytes
-        return data[offset - nbytes:offset]
+        def take(nbytes: int, what: str) -> bytes:
+            nonlocal left
+            if left < nbytes:
+                raise FileFormatError(f"{path}: truncated at {what}")
+            left -= nbytes
+            return fh.read(nbytes)
 
-    if take(8, "magic") != MAGIC:
-        raise FileFormatError(f"{path}: not a parameter file")
-    version, desc_len = struct.unpack("<II", take(8, "header"))
-    if version != FORMAT_VERSION:
-        raise FileFormatError(f"{path}: unsupported format version {version}")
-    descriptor, expected = take(desc_len, "descriptor"), _descriptor_bytes(model)
-    if descriptor != expected:
-        raise ValidationError(f"{path}: architecture descriptor mismatch: file "
-                              f"{bytes(descriptor).decode('utf-8', 'replace')}, model {expected.decode()}")
-    size, left = model.values.size, len(data) - offset
-    if left < 4 * size:
-        raise FileFormatError(f"{path}: truncated at parameter {model.param_name(left // 4)}")
-    if left > 4 * size:
-        raise FileFormatError(f"{path}: {left - 4 * size} unexpected trailing bytes")
-    tensors = np.frombuffer(data, dtype="<f4", count=size, offset=offset)
+        if take(8, "magic") != MAGIC:
+            raise FileFormatError(f"{path}: not a parameter file")
+        version, desc_len = struct.unpack("<II", take(8, "header"))
+        if version != FORMAT_VERSION:
+            raise FileFormatError(f"{path}: unsupported format version {version}")
+        descriptor, expected = take(desc_len, "descriptor"), _descriptor_bytes(model)
+        if descriptor != expected:
+            raise ValidationError(f"{path}: architecture descriptor mismatch: file "
+                                  f"{descriptor.decode('utf-8', 'replace')}, model {expected.decode()}")
+        size = model.values.size
+        if left < 4 * size:
+            raise FileFormatError(f"{path}: truncated at parameter {model.param_name(left // 4)}")
+        if left > 4 * size:
+            raise FileFormatError(f"{path}: {left - 4 * size} unexpected trailing bytes")
+        tensors = np.empty(size, np.float32)
+        if fh.readinto(tensors) != 4 * size:
+            raise FileFormatError(f"{path}: truncated while it was read")
+    if sys.byteorder == "big":  # the file stores little-endian
+        tensors.byteswap(inplace=True)
     if not np.isfinite(tensors).all():
         raise FileFormatError(f"{path}: non-finite value in parameter")
-    model.install_params(tensors.astype(np.float32), np.broadcast_to(np.zeros((), np.float32), size))
+    model.install_params(tensors, np.broadcast_to(np.zeros((), np.float32), size))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from defreg.consistency import (
+    _CHUNK_ENTRIES,
     CorrespondenceSet,
     _block_consistency,
     local_consistency,
@@ -138,7 +139,7 @@ def test_local_consistency_rejects_a_non_float_dtype():
 
 def test_default_blocks_are_float32_and_built_within_their_own_bytes(traced_peak):
     """The prune scene's N = 2000: building theta holds the float32 blocks
-    plus a few float64 blocks' worth of scratch, never a float64 theta."""
+    plus a few float64 row chunks, never a float64 block."""
     spec = SceneSpec(point_count=2000, surface="two-lobe", warp_kind="smooth-graph",
                      warp_magnitude=(0.2, 0.05), inlier_ratio=0.5,
                      inlier_noise_std=0.005, seed=1000)
@@ -148,9 +149,7 @@ def test_default_blocks_are_float32_and_built_within_their_own_bytes(traced_peak
     peak = traced_peak(lambda: built.append(local_consistency(corr, graph, 0.08)))
     blocks = built[0].blocks.values()
     assert all(block.dtype == np.float32 for block in blocks)
-    entries = sum(block.size for block in blocks)
-    largest = max(block.size for block in blocks) * 8
-    assert peak <= 4 * entries + 4 * largest
+    assert peak <= 4 * sum(block.size for block in blocks) + 1e6
 
 
 def _labeled_corr(seed=4, n=9):
@@ -213,10 +212,20 @@ def test_corr_csv_rejects_malformed(tmp_path, text, fragment):
         read_corr_csv(path)
 
 
-def test_block_consistency_matches_allocating_formula_bitwise():
-    """The in-place block equals the (M, M, 3) difference formula bit for bit."""
+@pytest.mark.parametrize("m, dtype, chunks", [
+    (100, np.float32, "one"),
+    (256, np.float32, "even"),
+    (500, np.float32, "ragged"),
+    (500, np.float64, "ragged"),
+], ids=["one-chunk", "chunks-divide-rows", "last-chunk-short", "float64"])
+def test_block_consistency_matches_allocating_formula_bitwise(m, dtype, chunks):
+    """The block built in row chunks equals the (M, M, 3) difference
+    formula in float64, rounded once to dtype, bit for bit."""
+    step = max(1, _CHUNK_ENTRIES // m)
+    assert {"one": step >= m, "even": step < m and m % step == 0,
+            "ragged": step < m and m % step != 0}[chunks]
     rng = np.random.default_rng(8)
-    src = rng.uniform(-1.0, 1.0, size=(500, 3))
+    src = rng.uniform(-1.0, 1.0, size=(m, 3))
     tgt = src + rng.normal(scale=0.05, size=src.shape)
     sigma_d = 0.08
 
@@ -224,7 +233,7 @@ def test_block_consistency_matches_allocating_formula_bitwise():
         return np.sqrt(((p[:, None, :] - p[None, :, :]) ** 2).sum(axis=2))
 
     delta = np.abs(distances(src) - distances(tgt))
-    want = np.maximum(0.0, 1.0 - (delta * delta) / (sigma_d * sigma_d))
-    got = _block_consistency(src, tgt, sigma_d)
-    assert got.dtype == np.float64 and 0.0 < got.mean() < 1.0
+    want = np.maximum(0.0, 1.0 - (delta * delta) / (sigma_d * sigma_d)).astype(dtype)
+    got = _block_consistency(src, tgt, sigma_d, dtype)
+    assert got.dtype == dtype and 0.0 < got.mean() < 1.0
     np.testing.assert_array_equal(got, want)

@@ -37,6 +37,7 @@ from defreg.scnet.model import (
     run_forward,
 )
 from defreg.scnet.params_io import load_params, save_params
+from defreg.synth import SceneSpec, generate_scene
 
 MICRO = dict(feature_dim=8, num_blocks=1, units_per_block=1, num_groups=1)
 
@@ -199,7 +200,7 @@ def test_leaky_relu_is_bitwise_the_select(slope, dtype):
 def test_softmax_rows_and_backward():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(4, 5)) * 3
-    s = softmax_rows(x)
+    s = softmax_rows(x.copy())
     np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-12)
     dy = rng.normal(size=s.shape)
     h = 1e-6
@@ -209,6 +210,15 @@ def test_softmax_rows_and_backward():
         xm = x.copy(); xm[idx] -= h
         fd[idx] = ((softmax_rows(xp) - softmax_rows(xm)) * dy).sum() / (2 * h)
     np.testing.assert_allclose(softmax_backward(s, dy), fd, atol=1e-7)
+
+
+def test_softmax_rows_overwrites_and_returns_its_argument():
+    x = np.random.default_rng(4).normal(size=(6, 7)) * 3
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    want = e / e.sum(axis=1, keepdims=True)
+    got = softmax_rows(x)
+    assert got is x
+    np.testing.assert_array_equal(got, want)
 
 
 def test_sigmoid_extremes_are_stable():
@@ -624,6 +634,27 @@ def test_tape_free_forward_memory_is_bounded(traced_peak):
     assert peaks[False] < peaks[True] / 10
 
 
+def test_tape_free_forward_peaks_at_two_feature_arrays_and_one_unit(tmp_path, traced_peak):
+    """The prune scene's N = 2000 scored by a loaded default model, theta
+    built beforehand: the pass holds a block's input features and their
+    blend (N x d each) and one unit's working set on the largest patch of
+    R rows: one R x R attention and at most twelve R x d arrays (its input,
+    q, k, v, the attention output, z1 and its norm's centred rows, the
+    feedforward's hidden rows, mask and output, the second norm's centred
+    rows and their squares)."""
+    spec = SceneSpec(point_count=2000, surface="two-lobe", warp_kind="smooth-graph",
+                     warp_magnitude=(0.2, 0.05), inlier_ratio=0.5,
+                     inlier_noise_std=0.005, seed=1000)
+    corr = generate_scene(spec)[3]
+    graph = build_graph(corr.source, 0.08, 6)
+    model = _loaded(ScNetModel(ScNetConfig()), tmp_path)
+    theta = local_consistency(corr, graph, 0.08)
+    peak = traced_peak(lambda: run_forward(model, corr, graph, theta))
+    n, d = len(corr), model.config.feature_dim
+    rows = max(block.shape[0] for block in theta.blocks.values())
+    assert peak <= model.values.itemsize * (2 * n * d + 12 * rows * d + rows * rows) + 1e6
+
+
 def test_tape_free_forward_drops_each_cache_as_its_layer_returns():
     """Without a caches list, layer 1's cache is gone before layer 2 runs;
     with one, every cache stays alive."""
@@ -767,14 +798,38 @@ def test_params_are_views_of_the_flat_vectors_in_order(kind, tmp_path):
     assert offset == model.values.size == model.grads.size
 
 
-def test_loading_the_default_model_peaks_within_twice_the_file(tmp_path, traced_peak):
+def test_loading_the_default_model_peaks_within_the_file_and_its_finite_mask(tmp_path,
+                                                                             traced_peak):
     """Above an already built model, installing a parameter file holds the
-    file's bytes and one float32 copy of its tensors, and nothing per tensor."""
+    float32 vector its tensors are read into and the isfinite mask over it
+    (a quarter of the file), and no other copy of the file."""
     path = tmp_path / "m.params"
     save_params(path, ScNetModel(ScNetConfig()))
     model = ScNetModel(ScNetConfig())
     peak = traced_peak(lambda: load_params(path, model))
-    assert peak <= 2 * path.stat().st_size + 1e6
+    size = path.stat().st_size
+    assert peak <= size + size / 4 + 1e6
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("wrong-magic", "not a parameter file"),
+    ("trailing-bytes", f"{64 << 20} unexpected trailing bytes"),
+])
+def test_a_large_file_is_rejected_from_its_first_bytes(tmp_path, traced_peak, kind, message):
+    """Neither a 64 MB file of another kind nor a parameter file followed
+    by 64 MB is read whole before it is rejected."""
+    path = tmp_path / "big.params"
+    if kind == "trailing-bytes":
+        save_params(path, _micro_model())
+    with open(path, "ab") as fh:
+        fh.truncate(fh.tell() + (64 << 20))  # sparse: no page is written
+    model = _micro_model()
+
+    def load():
+        with pytest.raises(FileFormatError, match=message):
+            load_params(path, model)
+
+    assert traced_peak(load) < 1e6
 
 
 @pytest.mark.parametrize("config, digest", [
