@@ -93,7 +93,10 @@ class LocalConsistency:
 
 def pairwise_consistency(c_i, c_j, sigma_d: float) -> float:
     """Consistency of two correspondences: [1 - (dd / sigma_d)^2]_+ where
-    dd is the difference of their source-side and target-side distances."""
+    dd is the difference of their source-side and target-side distances.
+
+    An oracle: no pipeline path calls it. Acceptance gate 4 checks the
+    node-assembled blocks against it, one scalar pair at a time."""
     if sigma_d <= 0:
         raise ValidationError("sigma_d must be positive")
     xi, yi = (np.asarray(v, dtype=np.float64) for v in c_i)
@@ -105,8 +108,9 @@ def pairwise_consistency(c_i, c_j, sigma_d: float) -> float:
     return float(np.maximum(0.0, val))
 
 
-# A consistency block is built a chunk of rows at a time: each of the
-# chunk's three float64 working arrays holds at most this many entries.
+# A consistency block is built from its upper triangle, a chunk of rows at a
+# time: each chunk's three float64 working arrays hold at most this many
+# entries (one row each when a row alone is longer).
 _CHUNK_ENTRIES = 1 << 15
 
 
@@ -125,23 +129,30 @@ def _pairwise_distances(rows: np.ndarray, p: np.ndarray, out: np.ndarray,
 
 
 def _block_consistency(src: np.ndarray, tgt: np.ndarray, sigma_d: float, dtype) -> np.ndarray:
-    """[1 - (|dx - dy| / sigma_d)^2]_+ as an (M, M) block in dtype, built in
-    row chunks: each chunk is computed in float64, in place in its source
-    distances, and written straight into the block. Every step is
-    elementwise, so the block is the rounding of the whole float64 one."""
+    """[1 - ((dx - dy) / sigma_d)^2]_+ as an (M, M) block in dtype.
+
+    d(i, j) and d(j, i) have the same bits ((x_i - x_j)^2 = (x_j - x_i)^2,
+    summed x, y, z in the same order), so only the upper triangle is
+    computed: chunks of rows [a, a + n) against columns [a, M), each in
+    float64 in place in its source distances, written straight into the
+    block and mirrored below its rows. Every step is elementwise, so the
+    block is the rounding of the whole float64 one."""
     m = src.shape[0]
     block = np.empty((m, m), dtype)
-    step = max(1, _CHUNK_ENTRIES // m)
-    dx, dy, scratch = np.empty((3, min(step, m), m))
-    for a in range(0, m, step):
-        n = min(step, m - a)
-        val = _pairwise_distances(src[a:a + n], src, dx[:n], scratch[:n])
-        val -= _pairwise_distances(tgt[a:a + n], tgt, dy[:n], scratch[:n])
-        np.abs(val, out=val)
+    buffers = np.empty((3, min(m * m, max(_CHUNK_ENTRIES, m))))
+    a = 0
+    while a < m:
+        w = m - a
+        n = max(1, min(w, _CHUNK_ENTRIES // w))
+        dx, dy, scratch = buffers[:, :n * w].reshape(3, n, w)
+        val = _pairwise_distances(src[a:a + n], src[a:], dx, scratch)
+        val -= _pairwise_distances(tgt[a:a + n], tgt[a:], dy, scratch)
         val *= val
         val /= sigma_d * sigma_d
         np.subtract(1.0, val, out=val)
-        np.maximum(0.0, val, out=block[a:a + n])
+        np.maximum(0.0, val, out=block[a:a + n, a:])
+        block[a + n:, a:a + n] = block[a:a + n, a + n:].T
+        a += n
     return block
 
 
@@ -151,9 +162,9 @@ def local_consistency(corr: CorrespondenceSet, graph: DeformationGraph, sigma_d:
 
     The graph must have been built over the correspondences' source
     endpoints, so member indices index into ``corr``. Only the graph's
-    patches get a block. Each block is computed in float64, a chunk of rows
-    at a time, and stored in dtype: float32 for a model loaded from a
-    parameter file, float64 for training.
+    patches get a block. Each block is computed in float64 over its upper
+    triangle, a chunk of rows at a time, mirrored, and stored in dtype:
+    float32 for a model loaded from a parameter file, float64 for training.
     Coordinates whose squared distances overflow leave NaN in a block and
     raise NumericalError naming the node.
     """

@@ -81,7 +81,9 @@ class Linear:
 class LeakyRelu:
     """x where x > 0, else slope*x; stateless apart from the slope.
 
-    Both passes multiply by 1 or slope, taken from the mask's bytes: bitwise
+    Both passes multiply by 1 or slope, a factor built from the mask in
+    integers: bits(slope) + pos * (bits(1) - bits(slope)), modulo 2^width in
+    the unsigned type of x's width, read back as x's dtype. That is bitwise
     np.where(pos, x, slope * x) for every slope and special value. Not
     np.maximum(x, slope * x), which at slope 0 turns +inf into NaN (0 * inf)."""
 
@@ -89,7 +91,14 @@ class LeakyRelu:
         self.slope = float(slope)
 
     def _scale(self, x, pos):
-        return x * np.take(np.array([self.slope, 1.0], x.dtype), pos.view(np.uint8))
+        uint = np.dtype(f"u{x.dtype.itemsize}")
+        low, one = (int(np.array(v, x.dtype).view(uint)) for v in (self.slope, 1.0))
+        # the step in Python ints: a numpy scalar subtraction would warn on
+        # underflow whenever the slope's bits exceed 1's
+        factor = np.multiply(pos, (one - low) % (1 << 8 * uint.itemsize), dtype=uint)
+        factor += low
+        factor = factor.view(x.dtype)
+        return np.multiply(x, factor, out=factor)
 
     def forward(self, x):
         pos = x > 0

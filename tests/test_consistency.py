@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
+from defreg import consistency
 from defreg.consistency import (
-    _CHUNK_ENTRIES,
     CorrespondenceSet,
-    _block_consistency,
     local_consistency,
     pairwise_consistency,
     read_corr_csv,
@@ -212,18 +211,31 @@ def test_corr_csv_rejects_malformed(tmp_path, text, fragment):
         read_corr_csv(path)
 
 
-@pytest.mark.parametrize("m, dtype, chunks", [
-    (100, np.float32, "one"),
-    (256, np.float32, "even"),
-    (500, np.float32, "ragged"),
-    (500, np.float64, "ragged"),
-], ids=["one-chunk", "chunks-divide-rows", "last-chunk-short", "float64"])
-def test_block_consistency_matches_allocating_formula_bitwise(m, dtype, chunks):
-    """The block built in row chunks equals the (M, M, 3) difference
-    formula in float64, rounded once to dtype, bit for bit."""
-    step = max(1, _CHUNK_ENTRIES // m)
-    assert {"one": step >= m, "even": step < m and m % step == 0,
-            "ragged": step < m and m % step != 0}[chunks]
+def _chunk_rows(m, entries):
+    # the row count of each upper-triangle chunk _block_consistency walks
+    rows, a = [], 0
+    while a < m:
+        w = m - a
+        rows.append(max(1, min(w, entries // w)))
+        a += rows[-1]
+    return rows
+
+
+@pytest.mark.parametrize("m, dtype, entries, chunks", [
+    (100, np.float32, None, "one"),
+    (500, np.float32, None, "several"),
+    (60, np.float32, 1, "single-row"),
+    (500, np.float64, None, "several"),
+], ids=["one-chunk", "several-chunks", "single-row-chunks", "float64"])
+def test_block_consistency_matches_allocating_formula_bitwise(monkeypatch, m, dtype, entries, chunks):
+    """The block built from its upper triangle in row chunks equals the
+    (M, M, 3) difference formula in float64, rounded once to dtype, bit for
+    bit, and is exactly symmetric."""
+    if entries is not None:
+        monkeypatch.setattr(consistency, "_CHUNK_ENTRIES", entries)
+    rows = _chunk_rows(m, consistency._CHUNK_ENTRIES)
+    assert {"one": rows == [m], "several": len(rows) > 1 and max(rows) > 1,
+            "single-row": rows == [1] * m}[chunks]
     rng = np.random.default_rng(8)
     src = rng.uniform(-1.0, 1.0, size=(m, 3))
     tgt = src + rng.normal(scale=0.05, size=src.shape)
@@ -234,6 +246,7 @@ def test_block_consistency_matches_allocating_formula_bitwise(m, dtype, chunks):
 
     delta = np.abs(distances(src) - distances(tgt))
     want = np.maximum(0.0, 1.0 - (delta * delta) / (sigma_d * sigma_d)).astype(dtype)
-    got = _block_consistency(src, tgt, sigma_d, dtype)
+    got = consistency._block_consistency(src, tgt, sigma_d, dtype)
     assert got.dtype == dtype and 0.0 < got.mean() < 1.0
     np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got, got.T)

@@ -175,10 +175,14 @@ def test_leaky_relu_forward_and_backward():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("slope", [0.0, 0.01, 1.0, 2.0])
+@pytest.mark.parametrize("slope", [0.0, 0.01, 0.5, 1.0, 2.0, "subnormal"])
 def test_leaky_relu_is_bitwise_the_select(slope, dtype):
     """Both passes equal np.where(x > 0, x, slope * x) bit for bit, signs of
-    zeros and NaNs included; at slope 0, +inf stays +inf."""
+    zeros and NaNs included; at slope 0, +inf stays +inf. The slopes' bits
+    lie below 1.0's, far below them (a subnormal in x's dtype) and above
+    them (2.0), so the integer factor's step wraps both ways."""
+    if slope == "subnormal":
+        slope = {np.float32: 1e-45, np.float64: 5e-324}[dtype]
     rng = np.random.default_rng(5)
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-45, -1e-45])
     x = np.concatenate([special, rng.normal(size=200) * 10.0 ** rng.integers(-30, 30, 200)])
