@@ -17,21 +17,20 @@ minus a constant offset and sums node-pair moments of those terms
 (`_Problem`). It sums the 13 moment columns one at a time, so set-up
 holds a few arrays of one entry per pair of terms sharing a residual
 (N k^2 of them, for k nodes per point) and never a table of all 13:
-about 2 KB per correspondence at k = 6, plus three arrays of 9 V^2
-floats. Each field the loop visits is evaluated once from the table:
-its residuals, its cost and its rotated levers, which the next step's
-J^T r reuses. Each step assembles J^T J from the moments and the
-current rotations, in time linear in the number of node pairs rather
-than in correspondences times k^2. The translation block of J^T J does
-not depend on the field, so its damped inverse is factored once per
-solve too; each step solves only the 3V x 3V Schur complement for the
-rotations and back-substitutes for the translations (the reduced system
-of bundle adjustment). The Schur complement needs the mixed block
-whitened by that factor. Since skew(R m) = R skew(m) R^T, the whitened
-lever moments are also computed once per solve, and each step only turns
-them by the per-node Kronecker products R_a (x) R_a. `residuals` and
-`jacobian` build the full dense residual vector and Jacobian and are the
-reference the solver is tested against.
+about 2 KB per correspondence at k = 6, plus one V x V array. Each field
+the loop visits is evaluated once from the table: its residuals, its
+cost and its rotated levers, which the next step's J^T r reuses. Each
+step assembles the 3 x 3 blocks of J^T J for every node pair from the
+moments and the current rotations, in time linear in the number of node
+pairs P rather than in correspondences times k^2. The translation block
+of J^T J does not depend on the field, so its damped inverse K is
+computed once per solve too; each step solves only the rotations' Schur
+complement, by conjugate gradients that apply it from the pair blocks
+and K without forming it, and then back-substitutes for the translations
+(the reduced system of bundle adjustment). A step holds arrays of 9P
+entries and of 3V, never a 3V x 3V one. `residuals` and `jacobian` build
+the full dense residual vector and Jacobian and are the reference the
+solver is tested against.
 """
 
 from __future__ import annotations
@@ -120,7 +119,11 @@ class SolveResult:
 
 def residuals(field: WarpField, corr: CorrespondenceSet, edges: np.ndarray,
               config: SolverConfig) -> np.ndarray:
-    """Stacked residual vector: 3 per correspondence, then 3 per edge."""
+    """Stacked residual vector: 3 per correspondence, then 3 per edge.
+
+    An oracle: no pipeline path calls it. Acceptance gate 2 differentiates
+    it by finite differences, and the dense reference loop that `solve`
+    must match is built on it and `jacobian`."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     u, v = edges[:, 0], edges[:, 1]
     nodes, tra = field.graph.nodes, field.translations
@@ -133,7 +136,11 @@ def residuals(field: WarpField, corr: CorrespondenceSet, edges: np.ndarray,
 
 def jacobian(field: WarpField, corr: CorrespondenceSet, edges: np.ndarray,
              config: SolverConfig) -> np.ndarray:
-    """Dense Jacobian of `residuals` w.r.t. [w_1..w_V, dt_1..dt_V] at w = 0."""
+    """Dense Jacobian of `residuals` w.r.t. [w_1..w_V, dt_1..dt_V] at w = 0.
+
+    An oracle: no pipeline path calls it. Acceptance gate 2 checks it
+    against finite differences, and the tests check the solver's node-pair
+    blocks and its steps against the dense normal equations built on it."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     graph = field.graph
     n, e, v = len(corr), edges.shape[0], graph.num_nodes
@@ -181,17 +188,16 @@ class _Problem:
 
     For every node pair (a, b) whose terms share a residual, the moments
     W_ab = sum c_a c_b, m_ab = sum c_a c_b q_a and M_ab = sum c_a c_b q_b q_a^T
-    fix every block of J^T J up to the current rotations. The translation
-    block is W (x) I3, with W the V x V matrix of the W_ab; it does not
-    depend on the field at all, so the damped W + marquardt I = L L^T is
-    factored here, once. The mixed block B_ab = skew(R_a m_ab) enters each
-    step whitened, as G = B (I3 (x) L^-T); with skew(R m) = R skew(m) R^T,
-    G[a] = (R_a (x) R_a) H[a] for the field-free whitened lever moments
-    H[a, k, l, b'] = sum_b skew(m_ab)[k, l] L^-1[b', b], also computed here.
+    fix every block of J^T J up to the current rotations: the rotation
+    block A_ab from M_ab, and the mixed block B_ab = skew(R_a m_ab). The
+    translation block is W (x) I3, with W the V x V matrix of the W_ab; it
+    does not depend on the field at all, so the damped W + marquardt I =
+    L L^T is factored here, once, and its inverse K = L^-T L^-1 kept.
 
-    Two step buffers are made here too, once per solve, and each step
-    overwrites them: `whitened` receives G and `schur` the Schur
-    complement, so a step allocates neither 3V x 3V product.
+    Entry e of the (P, 3, 3) pair blocks, raveled, sits at row
+    `entry_rows[e]` = 3a + i and column `entry_cols[e]` = 3b + j of the
+    3V x 3V rotation system, so a step applies A and B by gathering at
+    those columns and summing into those rows.
     """
 
     config: SolverConfig
@@ -202,11 +208,11 @@ class _Problem:
     term_levers: np.ndarray   # (T, 3) q
     pairs: np.ndarray         # (P, 2) node pairs (a, b) sharing a residual
     pair_weights: np.ndarray  # (P,) W_ab
+    pair_levers: np.ndarray   # (P, 3) m_ab
     pair_moments: np.ndarray  # (P, 3, 3) M_ab
-    whitener: np.ndarray      # (V, V) L^-1, where W + marquardt I = L L^T
-    whitened_levers: np.ndarray  # (V, 9, V) H, row k * 3 + l
-    whitened: np.ndarray      # (V, 9, V) step buffer for G
-    schur: np.ndarray         # (3V, 3V) step buffer for the Schur complement
+    translation_inverse: np.ndarray  # (V, V) K = (W + marquardt I)^-1
+    entry_rows: np.ndarray    # (9P,) 3a + i
+    entry_cols: np.ndarray    # (9P,) 3b + j
 
 
 def _pair_moments(groups, v: int):
@@ -254,18 +260,15 @@ def _problem(graph: DeformationGraph, corr: CorrespondenceSet,
         whitener = np.linalg.inv(np.linalg.cholesky(damped))
     except np.linalg.LinAlgError as exc:
         raise NumericalError("solver breakdown: translation block is not positive definite") from exc
-    # the step's G buffer holds the unwhitened lever moments until the first step
-    whitened = np.zeros((v, 9, v))
-    whitened.reshape(v, 3, 3, v)[pairs[:, 0], :, :, pairs[:, 1]] = skew(pair_levers)
+    entries = 3 * pairs[:, :, None] + np.arange(3)  # (P, 2, 3): 3a + i and 3b + j
     term_nodes, term_coefs, term_levers = (
         np.concatenate([g[i].reshape(-1, *g[i].shape[2:]) for g in groups]) for i in range(3))
     term_rows = np.concatenate([np.repeat(np.arange(n), order.shape[1]),
                                 np.repeat(n + np.arange(len(edges)), 2)])
     offsets = np.concatenate([sc * corr.target, np.zeros((len(edges), 3))])
     return _Problem(config, offsets, term_rows, term_nodes, term_coefs, term_levers, pairs,
-                    pair_weights, pair_moments, whitener,
-                    (whitened.reshape(9 * v, v) @ whitener.T).reshape(v, 9, v),
-                    whitened, np.empty((3 * v, 3 * v)))
+                    pair_weights, pair_levers, pair_moments, whitener.T @ whitener,
+                    np.repeat(entries[:, 0], 3, axis=1).ravel(), np.tile(entries[:, 1], 3).ravel())
 
 
 class _Iterate(NamedTuple):
@@ -292,49 +295,75 @@ def _evaluate(field: WarpField, problem: _Problem) -> _Iterate:
 
 def _normal_equations(problem: _Problem, at: _Iterate):
     """J^T J = [[A, B], [B^T, W (x) I3]] and J^T r at an iterate, from the
-    node-pair moments. Returns A's (3, 3) block of every node pair (a, b)
-    in `problem.pairs`, A being zero elsewhere; the whitened mixed block
-    G = B (I3 (x) L^-T) (3V, 3V), with its translation columns ordered by
-    component (x of every node, then y, then z), as the step's
-    back-substitution reads them, written into `problem.whitened`, so the
-    next call overwrites it; and J^T r (6V,) in `jacobian`'s order."""
+    node-pair moments. Returns the (3, 3) blocks A_ab and B_ab of every
+    node pair (a, b) in `problem.pairs`, A and B being zero elsewhere, and
+    J^T r (6V,) in `jacobian`'s order."""
     rot = at.field.rotations
-    v = len(rot)
     a, b = problem.pairs[:, 0], problem.pairs[:, 1]
     # skew(R_a q_a)^T skew(R_b q_b) = (l_a . l_b) I - l_b l_a^T, summed over the pair
     t = rot[b] @ problem.pair_moments @ rot[a].transpose(0, 2, 1)
     rotation = np.trace(t, axis1=1, axis2=2)[:, None, None] * np.eye(3) - t
-    # (R_a (x) R_a)[i * 3 + c, k * 3 + l] = R_a[i, k] R_a[c, l]
-    turns = (rot[:, :, None, :, None] * rot[:, None, :, None, :]).reshape(v, 9, 9)
-    whitened = np.matmul(turns, problem.whitened_levers, out=problem.whitened).reshape(3 * v, 3 * v)
+    mixed = skew(np.einsum("pij,pj->pi", rot[a], problem.pair_levers))
     r = at.residuals[problem.term_rows]
     # d r / d w_j = -c skew(l), d r / d dt_j = c I
     terms = problem.term_coefs[:, None] * np.concatenate([np.cross(at.levers, r), r], axis=1)
-    gradient = np.stack([np.bincount(problem.term_nodes, terms[:, i], minlength=v)
+    gradient = np.stack([np.bincount(problem.term_nodes, terms[:, i], minlength=len(rot))
                          for i in range(6)], axis=1)
-    return rotation, whitened, np.concatenate([gradient[:, :3].ravel(), gradient[:, 3:].ravel()])
+    return rotation, mixed, np.concatenate([gradient[:, :3].ravel(), gradient[:, 3:].ravel()])
 
 
 def _step_vector(problem: _Problem, at: _Iterate) -> np.ndarray:
-    """The damped step: the rotations from the Schur complement
-    S = A + mu I - B (I3 (x) (W + mu I)^-1) B^T, then the translations by
-    back-substitution. With W + mu I = L L^T and G = B (I3 (x) L^-T),
-    S = A + mu I - G G^T."""
-    rotation, whitened, gradient = _normal_equations(problem, at)
-    whitener = problem.whitener
-    v = len(whitener)
-    schur = np.negative(np.matmul(whitened, whitened.T, out=problem.schur), out=problem.schur)
-    # the pairs are unique, so this adds each of A's blocks once
-    schur.reshape(v, 3, v, 3)[problem.pairs[:, 0], :, problem.pairs[:, 1], :] += rotation
-    schur[np.diag_indices_from(schur)] += problem.config.marquardt
-    g_w = gradient[: 3 * v]
-    g_t = (gradient[3 * v:].reshape(v, 3).T @ whitener.T).ravel()  # (I3 (x) L^-1) J_t^T r
-    try:
-        omega = np.linalg.solve(schur, whitened @ g_t - g_w)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("solver breakdown: singular normal equations") from exc
-    shift = (-g_t - whitened.T @ omega).reshape(3, v) @ whitener
-    delta = np.concatenate([omega, shift.T.ravel()])
+    """The damped step [omega, t] solving (J^T J + mu I) [omega, t] = -[g_w, g_t].
+
+    With K = (W + mu I)^-1 from `problem`, the rotations solve the Schur
+    complement S omega = B K g_t - g_w, S = A + mu I - B K B^T, and the
+    translations follow as t = -K (g_t + B^T omega). S is symmetric
+    positive definite and never formed: conjugate gradients apply it from
+    the pair blocks and K, preconditioned by the inverse of the diagonal
+    of A + mu I. They stop once the residual is at most 1e-14 of the
+    right-hand side's norm, or after 3V iterations; the cost check accepts
+    or rejects that iterate as it does any step. A direction of zero or
+    negative curvature, which only rounding can give, raises."""
+    rotation, mixed, gradient = _normal_equations(problem, at)
+    if not all(np.isfinite(x).all() for x in (rotation, mixed, gradient)):
+        raise NumericalError("solver breakdown: non-finite normal equations")
+    mu, inverse = problem.config.marquardt, problem.translation_inverse
+    rows, cols, v = problem.entry_rows, problem.entry_cols, len(inverse)
+    block_a, block_b = rotation.ravel(), mixed.ravel()
+
+    def spread(x):  # K B^T x
+        return (inverse @ np.bincount(cols, block_b * x[rows],
+                                      minlength=3 * v).reshape(v, 3)).ravel()
+
+    def schur(x):  # S x
+        return np.bincount(rows, block_a * x[cols] - block_b * spread(x)[cols],
+                           minlength=3 * v) + mu * x
+
+    on = rows == cols  # A's diagonal entries
+    preconditioner = 1.0 / (np.bincount(rows[on], block_a[on], minlength=3 * v) + mu)
+    shift = (inverse @ gradient[3 * v:].reshape(v, 3)).ravel()  # K g_t
+    residual = np.bincount(rows, block_b * shift[cols], minlength=3 * v) - gradient[:3 * v]
+    # iterate on rhs / 2^e, an exact scaling to a largest entry below 1, so
+    # that |r|^2 cannot overflow however large the coordinates
+    exponent = np.frexp(np.abs(residual).max())[1]
+    residual = np.ldexp(residual, -exponent)
+    bound = 1e-28 * (residual @ residual)  # |r| <= 1e-14 |rhs|
+    omega, direction, fit = np.zeros(3 * v), np.zeros(3 * v), np.inf
+    for _ in range(3 * v):
+        if residual @ residual <= bound:
+            break
+        z = preconditioner * residual
+        fit, previous = residual @ z, fit
+        direction = z + (fit / previous) * direction
+        product = schur(direction)
+        curvature = direction @ product
+        if not 0.0 < curvature < np.inf:
+            raise NumericalError("solver breakdown: singular normal equations")
+        length = fit / curvature
+        omega += length * direction
+        residual -= length * product
+    omega = np.ldexp(omega, exponent)
+    delta = np.concatenate([omega, -(shift + spread(omega))])
     if not np.isfinite(delta).all():
         raise NumericalError("solver breakdown: non-finite step")
     return delta
