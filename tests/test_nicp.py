@@ -1,6 +1,8 @@
 """Embedded-deformation warp fields and the Gauss-Newton registration loop."""
 
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,6 +251,59 @@ def test_schur_step_equals_dense_damped_solve(assign_k):
     got = nicp._step_vector(problem, nicp._evaluate(field, problem))
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
     np.testing.assert_array_equal(got[3 * graph.num_nodes - 3:3 * graph.num_nodes], 0.0)
+
+
+@pytest.mark.parametrize("far_first", [False, True], ids=["far-last", "far-first"])
+@pytest.mark.parametrize("assign_k", [6, 1])
+def test_row_sorted_schur_operator_equals_dense_complement(assign_k, far_first):
+    corr, graph, field = _far_node_instance(4, assign_k)
+    if far_first:  # the far node's empty rows ahead of the others, not after them
+        graph = replace(graph, nodes=np.roll(graph.nodes, 1, axis=0), edges=graph.edges + 1,
+                        point_to_nodes=graph.point_to_nodes + 1)
+        field = WarpField(graph, np.roll(field.rotations, 1, axis=0),
+                          np.roll(field.translations, 1, axis=0))
+    cfg = SolverConfig(lambda_corr=25.0, lambda_reg=0.7)
+    problem = nicp._problem(graph, corr, cfg)
+    np.testing.assert_array_equal(problem.pairs[problem.pair_mirrors], problem.pairs[:, ::-1])
+    v, mu = graph.num_nodes, 0.37  # the operator's mu is its own, not K's marquardt
+    far = 0 if far_first else v - 1
+    assert not (problem.pairs == far).any()
+    jac = jacobian(field, corr, graph.edges, cfg)
+    normal = jac.T @ jac
+    rot, mixed = normal[:3 * v, :3 * v], normal[:3 * v, 3 * v:]
+    inverse = np.linalg.inv(normal[3 * v:, 3 * v:] + cfg.marquardt * np.eye(3 * v))
+    want = rot + mu * np.eye(3 * v) - mixed @ inverse @ mixed.T
+    system = nicp._schur_system(problem, nicp._evaluate(field, problem))
+    got = np.stack([nicp._schur_product(problem, system, mu, e) for e in np.eye(3 * v)], axis=1)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # the far node is on no pair: its rows are empty and give exactly mu x
+    rows = slice(3 * far, 3 * far + 3)
+    x = np.random.default_rng(0).normal(size=3 * v)
+    np.testing.assert_array_equal(nicp._schur_product(problem, system, mu, x)[rows], mu * x[rows])
+    np.testing.assert_array_equal(got[rows], mu * np.eye(3 * v)[rows])
+    gradient = jac.T @ residuals(field, corr, graph.edges, cfg)
+    for mine, dense in ((system.diagonal, np.diagonal(rot)),
+                        (system.rhs, mixed @ inverse @ gradient[3 * v:] - gradient[:3 * v])):
+        assert np.abs(mine - dense).max() <= 1e-12 * np.abs(dense).max()
+    # the step for this mu: rotations damped by mu, translations by marquardt
+    damping = np.concatenate([np.full(3 * v, mu), np.full(3 * v, cfg.marquardt)])
+    want = np.linalg.solve(normal + np.diag(damping), -gradient)
+    got = nicp._conjugate_gradients(problem, system, mu)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_schur_step_sums_rows_only_by_segment_sums():
+    """No `np.bincount` in the step's linear solve: the row-sorted segment
+    sums of `_row_sums` are its only scatter."""
+    tree = ast.parse(Path(nicp.__file__).read_text(encoding="utf-8"))
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    step = ("_step_vector", "_schur_system", "_conjugate_gradients", "_schur_product",
+            "_spread", "_row_sums")
+    assert set(step) <= set(functions)
+    calls = [f"{name}:{n.lineno}" for name in step for n in ast.walk(functions[name])
+             if isinstance(n, ast.Call) and "bincount" in (getattr(n.func, "attr", None),
+                                                          getattr(n.func, "id", None))]
+    assert calls == []
 
 
 def _table_pair_moments(graph, corr, cfg):
