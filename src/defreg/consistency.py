@@ -97,7 +97,7 @@ def pairwise_consistency(c_i, c_j, sigma_d: float) -> float:
 
     An oracle: no pipeline path calls it. Acceptance gate 4 checks the
     node-assembled blocks against it, one scalar pair at a time."""
-    if sigma_d <= 0:
+    if not sigma_d > 0:
         raise ValidationError("sigma_d must be positive")
     xi, yi = (np.asarray(v, dtype=np.float64) for v in c_i)
     xj, yj = (np.asarray(v, dtype=np.float64) for v in c_j)
@@ -168,7 +168,7 @@ def local_consistency(corr: CorrespondenceSet, graph: DeformationGraph, sigma_d:
     Coordinates whose squared distances overflow leave NaN in a block and
     raise NumericalError naming the node.
     """
-    if sigma_d <= 0:
+    if not sigma_d > 0:
         raise ValidationError("sigma_d must be positive")
     if np.dtype(dtype) not in (np.float32, np.float64):
         raise ValidationError(f"consistency blocks are float32 or float64, not {np.dtype(dtype)}")

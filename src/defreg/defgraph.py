@@ -20,7 +20,6 @@ __all__ = [
     "DeformationGraph",
     "build_graph",
     "assign_points",
-    "member_weights",
     "format_graph_dump",
 ]
 
@@ -52,7 +51,7 @@ class DeformationGraph:
     def __post_init__(self):
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 3:
             raise ValidationError("nodes must be (V, 3)")
-        if self.coverage <= 0 or self.assign_k < 1:
+        if not self.coverage > 0 or self.assign_k < 1:
             raise ValidationError("coverage and assign_k must be positive")
         if self.point_to_nodes.shape != self.point_weights.shape:
             raise ValidationError("assignment index/weight shape mismatch")
@@ -174,15 +173,6 @@ def build_graph(cloud, coverage: float, assign_k: int) -> DeformationGraph:
         point_weights=weights,
         edges=np.stack(np.divmod(keys, len(nodes)), axis=1),
     )
-
-
-def member_weights(graph: DeformationGraph, j: int) -> np.ndarray:
-    """Skinning weights alpha_{i,j} for node j, aligned with node_to_members[j]."""
-    members = graph.node_to_members[j]
-    if members.size == 0:
-        return np.empty(0)
-    mask = graph.point_to_nodes[members] == j
-    return (graph.point_weights[members] * mask).sum(axis=1)
 
 
 def format_graph_dump(graph: DeformationGraph) -> str:

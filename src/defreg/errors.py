@@ -19,6 +19,7 @@ on the same inputs write the same bytes.
 
 import json
 import sys
+from collections import Counter
 from dataclasses import field, fields
 from numbers import Integral, Real
 
@@ -119,16 +120,25 @@ def parse_rows(rows, width: int, path, columns=None) -> np.ndarray:
 
 def read_document(cls, path, kind: str):
     """cls(**document) for the JSON object in the file at path, rejecting
-    keys cls has no field for; kind names the document in errors."""
+    duplicate keys and keys cls has no field for; kind names the document
+    in errors."""
     text = "\n".join(read_lines(path))
+    duplicates = []
+
+    def unique_keys(pairs):
+        duplicates.extend(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+        return dict(pairs)
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}:{exc.lineno}: bad {kind} file: {exc.msg}") from None
     except ValueError as exc:  # an integer literal too long to convert
         raise FileFormatError(f"{path}: bad {kind} file: {exc}") from None
     if not isinstance(data, dict):
         raise FileFormatError(f"{path}: {kind} document must hold a JSON object")
+    if duplicates:  # raised here: a ValidationError inside the try would become a FileFormatError
+        raise ValidationError(f"{path}: duplicate {kind} key: {duplicates[0]}")
     unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
         raise ValidationError(f"{path}: unknown {kind} key: {unknown[0]}")

@@ -47,14 +47,12 @@ class MetricsReport:
     acc_r: float
     outlier_ratio: float
     point_count: int
-    precision: float | None = None
-    recall: float | None = None
 
     def __post_init__(self):
         if self.epe < 0 or self.point_count < 1:
             raise ValidationError("invalid metrics report")
-        for frac in (self.acc_s, self.acc_r, self.outlier_ratio, self.precision, self.recall):
-            if frac is not None and not 0.0 <= frac <= 1.0:
+        for frac in (self.acc_s, self.acc_r, self.outlier_ratio):
+            if not 0.0 <= frac <= 1.0:
                 raise ValidationError("metric fractions must lie in [0, 1]")
 
 
@@ -113,22 +111,21 @@ def classification_metrics(predicted_inliers, labels):
     return precision, recall
 
 
-_CSV_COLUMNS = ("scene", "point_count", "epe", "acc_s", "acc_r", "outlier_ratio", "precision", "recall")
+_CSV_COLUMNS = ("scene", "point_count", "epe", "acc_s", "acc_r", "outlier_ratio")
 
 
 def write_metrics_csv(path, rows) -> None:
-    """rows: iterable of (name, MetricsReport); optional fields left blank."""
+    """rows: iterable of (name, MetricsReport)."""
     write_lines(path, [format_row(_CSV_COLUMNS)] + [
         format_row((str(name), rep.point_count,
-                    *map(float, (rep.epe, rep.acc_s, rep.acc_r, rep.outlier_ratio)),
-                    *("" if v is None else float(v) for v in (rep.precision, rep.recall))))
+                    *map(float, (rep.epe, rep.acc_s, rep.acc_r, rep.outlier_ratio))))
         for name, rep in rows
     ])
 
 
 def format_metrics_table(rows) -> str:
     """Aligned human-readable table of (name, MetricsReport) rows."""
-    header = ["scene", "points", "EPE", "AccS", "AccR", "OR", "prec", "recall"]
+    header = ["scene", "points", "EPE", "AccS", "AccR", "OR"]
     table = [header]
     for name, rep in rows:
         table.append([
@@ -138,8 +135,6 @@ def format_metrics_table(rows) -> str:
             f"{rep.acc_s:.3f}",
             f"{rep.acc_r:.3f}",
             f"{rep.outlier_ratio:.3f}",
-            "-" if rep.precision is None else f"{rep.precision:.3f}",
-            "-" if rep.recall is None else f"{rep.recall:.3f}",
         ])
     widths = [max(len(row[c]) for row in table) for c in range(len(header))]
     lines = []

@@ -210,7 +210,6 @@ class _Problem:
     transposed.
     """
 
-    config: SolverConfig
     offsets: np.ndarray       # (N + E, 3) constant of each residual
     term_rows: np.ndarray     # (T,) residual (3-row group) of each term
     term_nodes: np.ndarray    # (T,) node of each term
@@ -284,7 +283,7 @@ def _problem(graph: DeformationGraph, corr: CorrespondenceSet,
                                 np.repeat(n + np.arange(len(edges)), 2)])
     offsets = np.concatenate([sc * corr.target, np.zeros((len(edges), 3))])
     mirrors = np.searchsorted(v * pairs[:, 0] + pairs[:, 1], v * pairs[:, 1] + pairs[:, 0])
-    return _Problem(config, offsets, term_rows, term_nodes, term_coefs, term_levers, pairs,
+    return _Problem(offsets, term_rows, term_nodes, term_coefs, term_levers, pairs,
                     pair_weights, pair_levers, pair_moments, whitener.T @ whitener, mirrors,
                     entry_order, np.tile(entries[:, 1], 3).ravel()[entry_order],
                     row_starts, sorted_rows[row_starts])
@@ -429,14 +428,7 @@ def _conjugate_gradients(problem: _Problem, system: _System, mu: float) -> np.nd
     return delta
 
 
-def _step_vector(problem: _Problem, at: _Iterate) -> np.ndarray:
-    """One step of `solve`: the damped step at an iterate with mu = marquardt."""
-    return _conjugate_gradients(problem, _schur_system(problem, at), problem.config.marquardt)
-
-
 def _apply_step(field: WarpField, delta: np.ndarray) -> WarpField:
-    if not delta.any():
-        return field
     v = field.graph.num_nodes
     omegas = delta[: 3 * v].reshape(v, 3)
     shifts = delta[3 * v:].reshape(v, 3)

@@ -60,7 +60,7 @@ from itertools import accumulate
 import numpy as np
 
 from defreg.consistency import CorrespondenceSet, LocalConsistency
-from defreg.defgraph import DeformationGraph, member_weights
+from defreg.defgraph import DeformationGraph
 from defreg.errors import NumericalError, ValidationError, check_fields, nonnegative
 from defreg.scnet.layers import (
     GroupNorm,
@@ -313,7 +313,7 @@ def aggregate(node_features: dict, graph: DeformationGraph) -> np.ndarray:
     weights summing to 1 over its assigned nodes, the result is a convex
     combination of that correspondence's per-node feature rows. run_forward
     blends each node's output as it is produced in the same order and the
-    same operations, so this is its bitwise oracle.
+    same operations, so this is its bitwise oracle; no pipeline path calls it.
     """
     if not node_features:
         raise ValidationError("no node features to aggregate")
@@ -323,8 +323,9 @@ def aggregate(node_features: dict, graph: DeformationGraph) -> np.ndarray:
         members = graph.node_to_members[j]
         if members.size == 0:
             continue
-        alpha = member_weights(graph, j).astype(first.dtype, copy=False)
-        out[members] += alpha[:, None] * node_features[j]
+        # alpha_ij from the assignment mask, independent of graph.patches
+        alpha = (graph.point_weights[members] * (graph.point_to_nodes[members] == j)).sum(axis=1)
+        out[members] += alpha.astype(first.dtype, copy=False)[:, None] * node_features[j]
     return out
 
 
@@ -452,18 +453,16 @@ def run_forward(model: ScNetModel, corr: CorrespondenceSet, graph: DeformationGr
 
 
 def backward_through(model: ScNetModel, state: ForwardState, d_scores: np.ndarray,
-                     d_features: np.ndarray | None = None) -> None:
-    """Accumulate parameter gradients for dL/dscores and (optionally) a
-    direct dL/dfeatures term on the pre-head feature matrix. The state
+                     d_features: np.ndarray) -> None:
+    """Accumulate parameter gradients for dL/dscores and a direct
+    dL/dfeatures term on the pre-head feature matrix. The state
     must come from run_forward(..., keep_tape=True); its tape holds every
     group's members and skinning weights, so no graph is passed."""
     tape = state.tape
     if tape is None:
         raise ValidationError("forward state holds no tape; run_forward(..., keep_tape=True)")
     s = state.scores
-    dfeats = _backward(model.head, tape.head, (d_scores * s * (1.0 - s))[:, None])
-    if d_features is not None:
-        dfeats = dfeats + d_features
+    dfeats = _backward(model.head, tape.head, (d_scores * s * (1.0 - s))[:, None]) + d_features
     for block, group_caches in zip(reversed(model.blocks), reversed(tape.blocks)):
         dprev = np.zeros_like(dfeats)
         for group, unit_caches in zip(tape.groups, group_caches):  # ascending j

@@ -86,8 +86,11 @@ class TrainScene:
 
 
 def label_correspondences(corr: CorrespondenceSet, gt_warp, tau_d: float) -> np.ndarray:
-    """1 where the residual under the ground-truth warp is strictly below tau_d."""
-    if tau_d <= 0:
+    """1 where the residual under the ground-truth warp is strictly below tau_d.
+
+    An oracle: no pipeline path calls it. The tests check the labels that
+    `synth.generate_scene` draws against it."""
+    if not tau_d > 0:
         raise ValidationError("tau_d must be positive")
     warped = gt_warp.warp(corr.source)
     res = np.sqrt(((warped - corr.target) ** 2).sum(axis=1))

@@ -356,6 +356,18 @@ def test_bad_document_value_exits_2_naming_the_key(tmp_path, capsys, document, k
     assert capsys.readouterr().err.startswith(f"error: {key} ")
 
 
+@pytest.mark.parametrize("document,kind,key,text", [
+    ("cfg.json", "config", "epochs", '{"epochs": 1, "epochs": 5}'),
+    ("spec.json", "scene", "seed", '{"point_count": 60, "seed": 1, "seed": 2}'),
+])
+def test_duplicate_document_key_exits_2(tmp_path, capsys, document, kind, key, text):
+    config = _write_json(tmp_path / "cfg.json", {})
+    spec = _write_json(tmp_path / "spec.json", SCENE_SPEC)
+    (tmp_path / document).write_text(text + "\n")
+    assert main(["--config", config, "synth", spec, "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / document}: duplicate {kind} key: {key}\n"
+
+
 @pytest.mark.parametrize("command", [["synth", "spec.json"], ["train", "--data", "data"]])
 def test_negative_seed_flag_exits_2(tmp_path, capsys, command):
     assert main(["--seed", "-1", *command, "--out", str(tmp_path / "out")]) == 2
@@ -377,6 +389,18 @@ def test_inspect_graph(tmp_path, spec_path, capsys):
     dump = capsys.readouterr().out
     assert "nodes" in dump
     assert main(["inspect-graph", str(scene / "corr.csv"), "--coverage", "0.1"]) == 0
+
+
+def test_inspect_graph_reads_xyz_as_ply(tmp_path, capsys):
+    points = np.random.default_rng(3).random((60, 3))
+    write_ply(tmp_path / "c.ply", PointCloud(points))
+    (tmp_path / "c.xyz").write_text("# the same points\n" + "".join(
+        f"{x!r} {y!r} {z!r}\n" for x, y, z in points.tolist()))
+    dumps = []
+    for name in ("c.xyz", "c.ply"):
+        assert main(["inspect-graph", str(tmp_path / name), "--coverage", "0.3"]) == 0
+        dumps.append(capsys.readouterr().out)
+    assert dumps[0] == dumps[1] and " points=60 " in dumps[0]
 
 
 def test_inspect_graph_nan_coverage_exits_2(tmp_path):

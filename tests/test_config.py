@@ -99,6 +99,14 @@ def test_load_rejects_unknown_key(tmp_path):
         load_config(path)
 
 
+def test_load_rejects_duplicate_key(tmp_path):
+    # json.loads alone keeps the last value, so this once loaded epochs == 5
+    path = tmp_path / "twice.json"
+    path.write_text('{"epochs": 1, "epochs": 5}\n')
+    with pytest.raises(ValidationError, match=r"twice\.json: duplicate config key: epochs$"):
+        load_config(path)
+
+
 def test_partial_document_fills_defaults(tmp_path):
     path = tmp_path / "partial.json"
     path.write_text(json.dumps({"epochs": 3, "feature_dim": 16, "num_groups": 2}))

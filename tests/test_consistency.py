@@ -42,8 +42,18 @@ def test_pairwise_worked_value():
 
 def test_pairwise_rejects_bad_sigma():
     ci, cj = _pair(1.0, 1.0)
-    with pytest.raises(ValidationError):
-        pairwise_consistency(ci, cj, 0.0)
+    for sigma_d in (0.0, np.nan):
+        with pytest.raises(ValidationError, match="sigma_d must be positive"):
+            pairwise_consistency(ci, cj, sigma_d)
+
+
+def test_local_consistency_rejects_bad_sigma():
+    # NaN once passed the check and raised an overflow NumericalError
+    src = np.zeros((3, 3)) + np.arange(3)[:, None] * 0.01
+    graph = build_graph(src, 0.25, 2)
+    for sigma_d in (0.0, -1.0, np.nan):
+        with pytest.raises(ValidationError, match="sigma_d must be positive"):
+            local_consistency(CorrespondenceSet(src, src), graph, sigma_d)
 
 
 def test_single_correspondence_single_node():

@@ -15,7 +15,6 @@ from defreg.defgraph import (
     assign_points,
     build_graph,
     format_graph_dump,
-    member_weights,
 )
 from defreg.errors import NumericalError, ValidationError
 from defreg.geometry import PointCloud
@@ -173,16 +172,14 @@ def test_transpose_relation():
             assert i in graph.node_to_members[j]
 
 
-def test_member_weights_align_with_assignment():
+def test_patch_weights_align_with_assignment():
     cloud = _random_cloud(12, 90, 1.0)
     graph = build_graph(cloud, 0.3, 3)
-    for j in range(graph.num_nodes):
-        w = member_weights(graph, j)
-        members = graph.node_to_members[j]
-        assert w.shape == members.shape
+    for j, members, alpha in graph.patches:
+        assert alpha.shape == members.shape
         for idx, i in enumerate(members):
             col = list(graph.point_to_nodes[i]).index(j)
-            assert w[idx] == graph.point_weights[i, col]
+            assert alpha[idx] == graph.point_weights[i, col]
 
 
 def _patch_ids(graph):
@@ -190,7 +187,7 @@ def _patch_ids(graph):
 
 
 @pytest.mark.parametrize("assign_k", [1, 3, 6])
-def test_patches_match_member_weights_and_assignment_mask(assign_k):
+def test_patches_match_assignment_mask(assign_k):
     graph = build_graph(_random_cloud(22, 300, 1.0), 0.2, assign_k)
     owners = [j for j in range(graph.num_nodes) if (graph.point_to_nodes == j).any()]
     assert _patch_ids(graph) == owners
@@ -200,7 +197,6 @@ def test_patches_match_member_weights_and_assignment_mask(assign_k):
         assert members.tobytes() == np.flatnonzero(mask.any(axis=1)).tobytes()
         assert members.tobytes() == graph.node_to_members[j].tobytes()
         assert alpha.tobytes() == graph.point_weights[mask].tobytes()
-        assert alpha.tobytes() == member_weights(graph, j).tobytes()
 
 
 def test_node_without_points_has_no_patch(tmp_path):
@@ -227,7 +223,7 @@ def test_replace_rederives_the_patches():
                    point_weights=graph.point_weights[::2])
     for j, members, alpha in half.patches:
         assert members.tobytes() == np.flatnonzero((half.point_to_nodes == j).any(axis=1)).tobytes()
-        assert alpha.tobytes() == member_weights(half, j).tobytes()
+        assert alpha.tobytes() == half.point_weights[half.point_to_nodes == j].tobytes()
     assert sum(m.size for m in half.node_to_members) == half.point_to_nodes.size
     with pytest.raises(ValueError):
         replace(graph, node_to_members=graph.node_to_members)
@@ -286,6 +282,10 @@ def test_build_rejects_bad_parameters():
         build_graph(cloud, 0.0, 6)
     with pytest.raises(ValidationError):
         build_graph(cloud, 0.1, 0)
+    # NaN coverage once built a graph whose warp was NaN at every point
+    for coverage in (0.0, np.nan):
+        with pytest.raises(ValidationError, match="coverage and assign_k must be positive"):
+            replace(build_graph(cloud, 0.5, 6), coverage=coverage)
 
 
 def _two_node_graph(weights):

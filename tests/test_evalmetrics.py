@@ -181,25 +181,23 @@ def test_classification_input_validation():
 # ------------------------------------------------------------- reporting
 
 def _sample_rows():
-    full = MetricsReport(epe=0.0123, acc_s=0.9, acc_r=1.0, outlier_ratio=0.05,
-                         point_count=200, precision=0.8, recall=0.75)
-    bare = MetricsReport(epe=0.0, acc_s=1.0, acc_r=1.0, outlier_ratio=0.0,
-                         point_count=50)
-    return [("scene-a", full), ("scene-b", bare)]
+    return [("scene-a", MetricsReport(epe=0.0123, acc_s=0.9, acc_r=1.0, outlier_ratio=0.05,
+                                      point_count=200)),
+            ("scene-b", MetricsReport(epe=0.0, acc_s=1.0, acc_r=1.0, outlier_ratio=0.0,
+                                      point_count=50))]
 
 
 def test_metrics_csv_contents(tmp_path):
     path = tmp_path / "metrics.csv"
     write_metrics_csv(path, _sample_rows())
     lines = path.read_text().splitlines()
-    assert lines[0] == "scene,point_count,epe,acc_s,acc_r,outlier_ratio,precision,recall"
+    assert lines[0] == "scene,point_count,epe,acc_s,acc_r,outlier_ratio"
     first = lines[1].split(",")
     assert first[0] == "scene-a"
     assert int(first[1]) == 200
     assert float(first[2]) == 0.0123
-    assert float(first[6]) == 0.8
-    second = lines[2].split(",")
-    assert second[6] == "" and second[7] == ""  # no classification fields
+    assert float(first[5]) == 0.05
+    assert lines[2] == "scene-b,50,0.0,1.0,1.0,0.0"
     assert len(lines) == 3
 
 
@@ -213,11 +211,10 @@ def test_metrics_csv_rewrite_byte_identical(tmp_path):
 def test_metrics_table_formatting():
     text = format_metrics_table(_sample_rows())
     lines = text.splitlines()
-    assert lines[0].split() == ["scene", "points", "EPE", "AccS", "AccR", "OR", "prec", "recall"]
+    assert lines[0].split() == ["scene", "points", "EPE", "AccS", "AccR", "OR"]
     row_a = lines[1].split()
-    assert row_a == ["scene-a", "200", "0.012", "0.900", "1.000", "0.050", "0.800", "0.750"]
+    assert row_a == ["scene-a", "200", "0.012", "0.900", "1.000", "0.050"]
     row_b = lines[2].split()
     assert row_b[2] == "0.000"  # a perfect estimate displays EPE 0.000
-    assert row_b[6] == "-" and row_b[7] == "-"
     # columns are aligned: every line is equally wide
     assert len({len(ln) for ln in lines}) == 1

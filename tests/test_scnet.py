@@ -10,7 +10,7 @@ import pytest
 
 from defreg.config import PipelineConfig, scnet_config
 from defreg.consistency import CorrespondenceSet, local_consistency
-from defreg.defgraph import build_graph, member_weights
+from defreg.defgraph import build_graph
 from defreg.errors import FileFormatError, NumericalError, ValidationError
 from defreg.scnet.layers import (
     GroupNorm,
@@ -432,9 +432,9 @@ def test_aggregate_matches_manual_loop_bitwise():
     got = aggregate(node_feats, graph)
     expect = np.zeros((graph.num_points, 5))
     for j in sorted(node_feats):
-        alpha = member_weights(graph, j)
         for row, i in enumerate(graph.node_to_members[j]):
-            expect[i] += alpha[row] * node_feats[j][row]
+            alpha = graph.point_weights[i, list(graph.point_to_nodes[i]).index(j)]
+            expect[i] += alpha * node_feats[j][row]
     np.testing.assert_array_equal(got, expect)
 
 
@@ -449,7 +449,7 @@ def test_aggregate_two_node_worked_weights():
     za = np.ones((graph.node_to_members[0].size, 2))
     zb = np.full((graph.node_to_members[1].size, 2), 3.0)
     out = aggregate({0: za, 1: zb}, graph)
-    w0 = member_weights(graph, 0)[list(graph.node_to_members[0]).index(0)]
+    w0 = graph.point_weights[0, list(graph.point_to_nodes[0]).index(0)]
     np.testing.assert_allclose(out[0], w0 * 1.0 + (1 - w0) * 3.0, atol=1e-12)
 
 
@@ -613,7 +613,8 @@ def test_node_groups_fill_the_budget_in_ascending_node_order():
             assert (g.bounds[-1] + following.bounds[1]) * width > _GROUP_ENTRIES
         for j, a, b in zip(g.nodes, g.bounds, g.bounds[1:]):
             assert g.rows[a:b].tobytes() == graph.node_to_members[j].tobytes()
-            assert g.alpha[a:b, 0].tobytes() == member_weights(graph, j).tobytes()
+            mask = graph.point_to_nodes == j
+            assert g.alpha[a:b, 0].tobytes() == graph.point_weights[mask].tobytes()
     # several groups blend like every node run alone
     feats = encode_input(corr)
     for layer in model.init:
@@ -691,7 +692,7 @@ def test_backward_through_requires_tape():
     model = _micro_model()
     state = run_forward(model, corr, graph, theta)
     with pytest.raises(ValidationError, match="holds no tape"):
-        backward_through(model, state, np.ones(len(corr)))
+        backward_through(model, state, np.ones(len(corr)), np.zeros_like(state.features))
     assert not model.grads.any()
 
 

@@ -193,6 +193,13 @@ def test_spec_rejects_unknown_key(tmp_path):
         read_document(SceneSpec, path, "scene")
 
 
+def test_spec_rejects_duplicate_key(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(asdict(_spec(seed=3)))[:-1] + ', "seed": 4}')
+    with pytest.raises(ValidationError, match="duplicate scene key: seed$"):
+        read_document(SceneSpec, path, "scene")
+
+
 # ---------------------------------------------------------------- bundles
 
 def test_scene_bundle_round_trip(tmp_path):

@@ -57,8 +57,9 @@ def test_labels_boundary_is_strictly_below():
 def test_labels_reject_bad_tau():
     src = np.zeros((2, 3)) + np.arange(2)[:, None]
     corr = CorrespondenceSet(src, src)
-    with pytest.raises(ValidationError):
-        label_correspondences(corr, _identity_field(src), 0.0)
+    for tau_d in (0.0, np.nan):  # NaN once labelled every correspondence 0
+        with pytest.raises(ValidationError, match="tau_d must be positive"):
+            label_correspondences(corr, _identity_field(src), tau_d)
 
 
 # -------------------------------------------------------------------- focal

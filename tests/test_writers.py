@@ -64,9 +64,9 @@ warp-field nodes 2 coverage 0.5 assign_k 2
 1.0 0.0 0.0 0.0 0.0 3.141592653589793 0.1 0.0 0.0
 """,
     "metrics.csv": """\
-scene,point_count,epe,acc_s,acc_r,outlier_ratio,precision,recall
-pair0,60,0.25,0.5,1.0,0.0,0.3333333333333333,
-pooled,7,5e-324,0.1,0.2,0.3,,0.7
+scene,point_count,epe,acc_s,acc_r,outlier_ratio
+pair0,60,0.25,0.5,1.0,0.3333333333333333
+pooled,7,5e-324,0.1,0.2,0.3
 """,
     "loss.csv": """\
 epoch,mean_loss,mean_cls,mean_con,lr
@@ -146,8 +146,8 @@ def test_every_writer_writes_pinned_bytes(tmp_path):
     write_warp_field(tmp_path / "warp.txt", field)
 
     write_metrics_csv(tmp_path / "metrics.csv", [
-        ("pair0", MetricsReport(0.25, 0.5, 1.0, 0.0, 60, 1 / 3, None)),
-        ("pooled", MetricsReport(5e-324, 0.1, 0.2, 0.3, 7, None, 0.7)),
+        ("pair0", MetricsReport(0.25, 0.5, 1.0, 1 / 3, 60)),
+        ("pooled", MetricsReport(5e-324, 0.1, 0.2, 0.3, 7)),
     ])
     write_loss_log(tmp_path / "loss.csv", [(0, 0.5, 0.25, 1 / 3, 0.003),
                                            (1, 5e-324, -0.0, BIG, 0.0027)])
