@@ -426,3 +426,11 @@ def test_inspect_graph_huge_coverage_is_one_node(tmp_path, capsys, via):
         args = ["--config", _write_json(tmp_path / "cfg.json", {"prune_coverage": 1e160})] + args
     assert main(args) == 0
     assert "nodes=1 coverage=1e+160 " in capsys.readouterr().out
+
+
+def test_inspect_graph_underflowing_coverage_exits_2_naming_the_bandwidth(tmp_path, capsys):
+    # 2 * coverage**2 is 0.0, so the skinning weights would be 0 / 0
+    write_ply(tmp_path / "c.ply", PointCloud(np.random.default_rng(0).random((20, 3))))
+    assert main(["inspect-graph", str(tmp_path / "c.ply"), "--coverage", "1e-200"]) == 2
+    err = capsys.readouterr().err
+    assert "node assignment: skinning bandwidth 1e-200 must be positive" in err

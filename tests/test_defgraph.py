@@ -2,12 +2,15 @@
 and the per-node patches the graph derives from its assignment."""
 
 import ast
+import re
 from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defreg import defgraph
 from defreg.defgraph import (
@@ -17,8 +20,9 @@ from defreg.defgraph import (
     format_graph_dump,
 )
 from defreg.errors import NumericalError, ValidationError
-from defreg.geometry import PointCloud
+from defreg.geometry import PointCloud, furthest_point_sample
 from defreg.nicp import WarpField, read_warp_field, write_warp_field
+from defreg.synth import SceneSpec, generate_scene
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "defreg"
 
@@ -353,14 +357,143 @@ def test_assign_points_equals_stable_argsort(seed):
         np.testing.assert_array_equal(weights, ref_weights)
 
 
-def test_assign_points_is_chunk_invariant(monkeypatch):
+def _two_lobe_cloud(n):
+    spec = SceneSpec(point_count=n, surface="two-lobe", warp_kind="smooth-graph",
+                     warp_magnitude=(0.2, 0.05), inlier_ratio=1.0, inlier_noise_std=0.005, seed=1)
+    return generate_scene(spec)[0].points
+
+
+@pytest.mark.parametrize("case", ["dense", "grid"])
+def test_assign_points_is_chunk_invariant(monkeypatch, case):
+    """_ASSIGN_CHUNK_ENTRIES bounds both kernels' working set; the result
+    does not depend on it."""
     rng = np.random.default_rng(30)
-    points, nodes = rng.normal(size=(500, 3)), rng.normal(size=(25, 3))
-    whole = assign_points(points, nodes, 6, 0.5)
+    if case == "dense":
+        points, nodes, bandwidth = rng.normal(size=(500, 3)), rng.normal(size=(25, 3)), 0.5
+    else:
+        points, bandwidth = _two_lobe_cloud(1500), 0.03
+        nodes = points[furthest_point_sample(points, bandwidth)]
+    whole = assign_points(points, nodes, 6, bandwidth)
     monkeypatch.setattr(defgraph, "_ASSIGN_CHUNK_ENTRIES", 7 * 25)
-    chunked = assign_points(points, nodes, 6, 0.5)
+    chunked = assign_points(points, nodes, 6, bandwidth)
     np.testing.assert_array_equal(whole[0], chunked[0])
     np.testing.assert_array_equal(whole[1], chunked[1])
+
+
+def test_grid_certifies_nearly_every_point_of_the_graph_cloud():
+    """With nodes sampled at the bandwidth, the block of cells around a
+    cloud point holds its six nearest nodes for nearly every point, so the
+    dense kernel sees only a few rows."""
+    points = _two_lobe_cloud(2000)
+    nodes = points[furthest_point_sample(points, 0.03)]
+    order = np.empty((len(points), 6), dtype=np.int64)
+    sel = np.empty((len(points), 6))
+    rest = defgraph._grid_nearest_nodes(points, nodes, 6, defgraph._CELL_BANDWIDTHS * 0.03,
+                                        order, sel)
+    assert rest.size < 0.05 * len(points)
+    ref_order, _ = _stable_argsort_assignment(points, nodes, 6, 0.03)
+    done = np.setdiff1d(np.arange(len(points)), rest)
+    np.testing.assert_array_equal(order[done], ref_order[done])
+
+
+@st.composite
+def _assignment_inputs(draw):
+    """(points, nodes, assign_k, bandwidth) over the shapes the grid must
+    get right or hand to the dense kernel."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["sampled", "random", "lattice", "duplicates", "faces", "far",
+                                 "wide"]))
+    n, v = draw(st.integers(1, 400)), draw(st.integers(1, 400))
+    bandwidth = draw(st.sampled_from([0.02, 0.04, 0.08, 0.15, 0.3]))
+    points, nodes = rng.random((n, 3)) * [1.0, 1.0, 0.2], rng.random((v, 3)) * [1.0, 1.0, 0.2]
+    if kind == "sampled":
+        # the graph's own cloud: nodes sampled at the bandwidth
+        nodes = points[furthest_point_sample(points, bandwidth)]
+    elif kind == "lattice":
+        # coordinates on a lattice: many exact distance ties
+        points, nodes = (rng.integers(0, 12, size=(m, 3)) / 12.0 for m in (n, v))
+    elif kind == "duplicates":
+        nodes = nodes[rng.integers(0, v, size=v)]
+        points = np.concatenate([points, nodes])[rng.integers(0, n + v, size=n)]
+    elif kind == "faces":
+        # coordinates on the cell faces of the grid anchored at the lowest node
+        cell = defgraph._CELL_BANDWIDTHS * bandwidth
+        faces = nodes.min(axis=0) + rng.integers(-2, int(1.0 / cell) + 3, size=(n, 3)) * cell
+        points = np.where(rng.random((n, 3)) < 0.6, faces, points)
+    elif kind == "far":
+        # correspondence sources need not be cloud points: some lie 1e3
+        # bandwidths from every node
+        away = rng.normal(size=(n, 3))
+        away *= 1e3 * bandwidth / np.linalg.norm(away, axis=1, keepdims=True)
+        points = np.where(rng.random((n, 1)) < 0.5, points + away, points)
+    elif kind == "wide":
+        # one node 1e8 bandwidths away: more cells on an axis than the grid spans
+        nodes[-1] += 1e8 * bandwidth
+    v = len(nodes)
+    assign_k = draw(st.sampled_from([1, 3, 6, 6, 6, v, v + 2]))
+    # a power of two keeps lattice ties exact. 2**-20 is about 1e-6; from
+    # about 2**497 up (1e150) the cells are too wide for the grid
+    scale = 2.0 ** draw(st.integers(-20, 500))
+    return points * scale, nodes * scale, assign_k, bandwidth * scale
+
+
+@settings(max_examples=400)
+@given(_assignment_inputs())
+def test_assign_points_equals_stable_argsort_property(inputs):
+    points, nodes, assign_k, bandwidth = inputs
+    order, weights = assign_points(points, nodes, assign_k, bandwidth)
+    ref_order, ref_weights = _stable_argsort_assignment(points, nodes, assign_k, bandwidth)
+    assert order.tobytes() == ref_order.tobytes()
+    assert weights.tobytes() == ref_weights.tobytes()
+
+
+@pytest.mark.parametrize("cloud, coverage", [("two-lobe", 0.03), ("two-lobe", 0.015),
+                                              ("slab", 0.01)])
+def test_assign_points_memory_is_linear_in_points(traced_peak, cloud, coverage):
+    """One chunk of either kernel plus a few arrays per point and per cell:
+    the traced peak grows with N, not with N * V (a dense N x V array of
+    distances alone would be 8 * N * V bytes)."""
+    n = 10000
+    if cloud == "two-lobe":
+        points = _two_lobe_cloud(n)
+    else:
+        points = np.random.default_rng(0).random((n, 3)) * [1.0, 1.0, 0.05]
+    nodes = points[furthest_point_sample(points, coverage)]
+    v = len(nodes)
+    assert v > {0.03: 200, 0.015: 800, 0.01: 5000}[coverage]
+    peak = traced_peak(lambda: assign_points(points, nodes, 6, coverage))
+    assert peak <= 6 * 8 * defgraph._ASSIGN_CHUNK_ENTRIES + 700 * n
+
+
+def test_assign_points_memory_at_the_solver_benchmark_size(traced_peak):
+    """N = 2000, V = 225: the dense kernel peaked at 8.1 MB here."""
+    points = _two_lobe_cloud(2000)
+    nodes = points[furthest_point_sample(points, 0.03)]
+    assert 200 < len(nodes) < 250
+    assert traced_peak(lambda: assign_points(points, nodes, 6, 0.03)) <= 3e6
+
+
+@pytest.mark.parametrize("bandwidth", [0.0, -0.5, np.nan, 1e-200, 1e-163])
+def test_assign_points_rejects_a_bandwidth_without_weights(bandwidth):
+    # 2 * bandwidth**2 is 0.0 for bandwidths up to about 1e-162
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"skinning bandwidth {float(bandwidth)!r} must be")):
+        assign_points(np.zeros((2, 3)), np.ones((1, 3)), 6, bandwidth)
+
+
+def test_warp_field_with_underflowing_coverage_names_the_bandwidth(tmp_path):
+    """A warp.txt whose coverage squares to 0 loads, and its warp raises
+    rather than returning NaN points."""
+    graph = build_graph(_random_cloud(31, 40), 0.3, 4)
+    rot = np.broadcast_to(np.eye(3), (graph.num_nodes, 3, 3))
+    write_warp_field(tmp_path / "warp.txt", WarpField(graph, rot, np.zeros((graph.num_nodes, 3))))
+    text = (tmp_path / "warp.txt").read_text()
+    assert " coverage 0.3 " in text
+    (tmp_path / "warp.txt").write_text(text.replace(" coverage 0.3 ", " coverage 1e-200 ", 1))
+    field = read_warp_field(tmp_path / "warp.txt")
+    assert field.graph.coverage == 1e-200
+    with pytest.raises(ValidationError, match="node assignment: skinning bandwidth 1e-200"):
+        field.warp(graph.nodes)
 
 
 def test_huge_coverage_builds_one_node_and_overflow_raises():
