@@ -172,32 +172,31 @@ def _squared_distances(pts: np.ndarray, node_coords) -> np.ndarray:
 
 
 def _k_smallest(d2: np.ndarray, ids, kk: int):
-    """Each row's kk smallest d2 as (ids, d2), sorted by (d2, id), and
-    whether a tie at the kk-th distance straddles the cut, which leaves
-    the row's pick undefined. ids holds each entry's node index, ascending
-    along the row, or is None when that is the column.
+    """Each row's kk smallest d2 as (ids, d2), sorted by (d2, id): the
+    first kk of a stable argsort of the row. ids holds each entry's node
+    index, ascending along the row, or is None when that is the column.
     """
     width = d2.shape[1]
     ranked = np.sort(d2, axis=1)
     kth = ranked[:, kk - 1:kk].copy()
-    tied = ranked[:, kk] == kth[:, 0] if width > kk else np.zeros(d2.shape[0], dtype=bool)
+    # rows where a tie at the kk-th distance straddles the cut
+    tied = np.flatnonzero(ranked[:, kk:kk + 1] == kth)
     del ranked
-    # the kk entries at or below the kk-th distance, in column order
+    # the kk entries at or below the kk-th distance, in column order (a
+    # tied row's first kk columns, a placeholder until its argsort below)
     keep = d2 <= kth
     keep[tied] = np.arange(width) < kk
     picked = np.flatnonzero(keep).reshape(-1, kk)
     # a stable sort by distance keeps equal distances in column, so id, order
-    picked_d2 = d2.ravel()[picked]
-    perm = np.argsort(picked_d2, axis=1, kind="stable")
+    perm = np.argsort(d2.ravel()[picked], axis=1, kind="stable")
     picked = np.take_along_axis(picked, perm, axis=1)
-    return (picked % width if ids is None else ids.ravel()[picked],
-            np.take_along_axis(picked_d2, perm, axis=1), tied)
+    picked[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :kk] + width * tied[:, None]
+    return picked % width if ids is None else ids.ravel()[picked], d2.ravel()[picked]
 
 
 def _nearest_nodes(pts: np.ndarray, nodes: np.ndarray, kk: int):
     """The kk nearest nodes per point and their squared distances, from
-    every point-node distance, a chunk of rows at a time. A row with a
-    tie straddling the cut falls back to a stable argsort, so each row is
+    every point-node distance, a chunk of rows at a time: each row is
     exactly the first kk of a stable argsort of its distances."""
     order = np.empty((pts.shape[0], kk), dtype=np.int64)
     sel = np.empty((pts.shape[0], kk))
@@ -205,11 +204,7 @@ def _nearest_nodes(pts: np.ndarray, nodes: np.ndarray, kk: int):
     for start in range(0, pts.shape[0], step):
         rows = slice(start, start + step)
         d2 = _squared_distances(pts[rows], nodes.T[:, None, :])
-        got, got_d2, tied = _k_smallest(d2, None, kk)
-        if tied.any():
-            got[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :kk]
-            got_d2[tied] = np.take_along_axis(d2[tied], got[tied], axis=1)
-        order[rows], sel[rows] = got, got_d2
+        order[rows], sel[rows] = _k_smallest(d2, None, kk)
     return order, sel
 
 
@@ -221,10 +216,12 @@ def _grid_nearest_nodes(pts, nodes, kk, cell, order, sel):
     A point's candidates are the nodes in the 3 x 3 x 3 block of cells
     around its own. Its row is certified when its kk-th squared distance
     lies below its squared distance to the block's faces, less a margin
-    far above rounding, so that every node outside the block is farther;
-    and when no tie straddles the cut. The grid is not used when it would
-    span too many cells, or when some block holds more than half the
-    nodes: there the dense kernel is as fast (measured).
+    far above rounding, so that every node outside the block is farther.
+    The block then holds every node at or below that distance, in
+    ascending id order, so _k_smallest's pick among them, ties included,
+    is the dense kernel's. The grid is not used when it would span too
+    many cells, or when some block holds more than half the nodes: there
+    the dense kernel is as fast (measured).
     """
     if not (pts.shape[0] and _GRID_CELL_EDGES[0] <= cell <= _GRID_CELL_EDGES[1]):
         return slice(None)
@@ -293,8 +290,8 @@ def _grid_nearest_nodes(pts, nodes, kk, cell, order, sel):
         blocks = point_cell[rows]
         cand = candidates[blocks, :max(kk, widths[blocks[-1]])]
         d2 = _squared_distances(pts[rows], (padded[a][cand] for a in range(3)))
-        got, got_d2, tied = _k_smallest(d2, cand, kk)
-        ok = (got_d2[:, -1] < limit[rows]) & ~tied
+        got, got_d2 = _k_smallest(d2, cand, kk)
+        ok = got_d2[:, -1] < limit[rows]
         rows = rows[ok]
         order[rows], sel[rows] = got[ok], got_d2[ok]
         certified[rows] = True

@@ -46,16 +46,18 @@ The pass computes in the dtype of the model's parameters: float64 for a
 constructed model (training and its gradient checks), float32 for one
 loaded from a parameter file, which stores float32. local_consistency
 builds the consistency blocks in float64 and stores them in that dtype,
-so they are rounded once, at build time; a block in another dtype is
-rejected, not cast. The encoded input and skinning weights are built in
-float64 and cast to that dtype where the pass takes them up; scores are
-the sigmoid of float64 logits in both cases.
+so they are rounded once, at build time. _node_groups alone checks the
+blocks against the graph, before any layer runs: each patch's block must
+be present, in that dtype (never cast) and |C_j| x |C_j|. The encoded
+input and skinning weights are built in float64 and cast to that dtype
+where the pass takes them up; scores are the sigmoid of float64 logits
+in both cases.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import accumulate
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -146,16 +148,10 @@ class ScaUnit:
 
     def forward(self, feats: np.ndarray, thetas):
         """Run a group of node patches stacked as rows. thetas holds each
-        patch's consistency block in row order, so their sizes partition
-        the rows; attention stays within a patch, every other layer runs
-        once on the whole group."""
-        spans, start = [], 0
-        for theta in thetas:
-            spans.append((start, start + theta.shape[0]))
-            start += theta.shape[0]
-        if not spans or start != feats.shape[0] or any(
-                theta.shape != (b - a, b - a) for theta, (a, b) in zip(thetas, spans)):
-            raise ValidationError("theta blocks must be square and partition the feature rows")
+        patch's consistency block in row order (as _node_groups checked
+        them), and their sizes give the patch spans; attention stays within
+        a patch, every other layer runs once on the whole group."""
+        spans = list(pairwise(accumulate((theta.shape[0] for theta in thetas), initial=0)))
         q = feats @ self.wq
         k = feats @ self.wk
         v = feats @ self.wv
@@ -339,10 +335,10 @@ class _Group:
     """Consecutive graph patches, ascending j, run through each block as
     one stack of their member rows."""
 
-    nodes: list          # node indices j, ascending
-    rows: np.ndarray     # the nodes' member lists, concatenated
+    rows: np.ndarray     # the nodes' member lists, ascending j, concatenated
     alpha: np.ndarray    # skinning weights aligned with rows, as a column
     bounds: list         # node i's rows are rows[bounds[i]:bounds[i + 1]]
+    thetas: list         # the nodes' consistency blocks, each |C_j| x |C_j|
 
     def add_to(self, out: np.ndarray, x: np.ndarray) -> None:
         """out[members] += the node's rows of x, node by node in ascending j
@@ -353,27 +349,33 @@ class _Group:
 
 def _node_groups(graph: DeformationGraph, theta: LocalConsistency, dtype, width: int) -> list:
     """The graph's patches in ascending j, split into groups of at most
-    _GROUP_ENTRIES rows x width entries; every group holds at least one patch,
-    and every patch a block in theta in dtype."""
+    _GROUP_ENTRIES rows x width entries; every group holds at least one
+    patch. This is where theta meets the graph, before any layer runs:
+    each patch's block must be present, in dtype and |C_j| x |C_j|, or
+    ValidationError names the node."""
     parts, filled = [], 0  # per group: its patches; the last group's rows
     for j, members, alpha in graph.patches:
-        if j not in theta.blocks:
+        block = theta.blocks.get(j)
+        if block is None:
             raise ValidationError(f"consistency blocks missing node {j}")
-        if theta.blocks[j].dtype != dtype:
-            raise ValidationError(f"node {j}'s consistency block is {theta.blocks[j].dtype}, but "
+        if block.dtype != dtype:
+            raise ValidationError(f"node {j}'s consistency block is {block.dtype}, but "
                                   f"the model computes in {dtype}; build the blocks with "
                                   "local_consistency(..., dtype=model.dtype)")
+        if block.shape != (members.size, members.size):
+            raise ValidationError(f"node {j}'s consistency block is {block.shape}, but its patch "
+                                  f"has {members.size} members; build the blocks over this graph")
         if not parts or (filled + members.size) * width > _GROUP_ENTRIES:
             parts.append([])
             filled = 0
-        parts[-1].append((j, members, alpha))
+        parts[-1].append((members, alpha, block))
         filled += members.size
     groups = []
     for part in parts:
-        nodes, members, alphas = zip(*part)
-        groups.append(_Group(list(nodes), np.concatenate(members),
+        members, alphas, blocks = zip(*part)
+        groups.append(_Group(np.concatenate(members),
                              np.concatenate(alphas).astype(dtype, copy=False)[:, None],
-                             [0, *accumulate(m.size for m in members)]))
+                             [0, *accumulate(m.size for m in members)], list(blocks)))
     return groups
 
 
@@ -417,13 +419,14 @@ def _backward(layers, caches, dy):
 
 def run_forward(model: ScNetModel, corr: CorrespondenceSet, graph: DeformationGraph,
                 theta: LocalConsistency, keep_tape: bool = False) -> ForwardState:
-    """Full forward pass in the dtype of the model's parameters, which
-    theta's blocks must share (none is cast; another dtype raises
-    ValidationError). With keep_tape every layer cache is kept for
-    backward_through; without it the caches are dropped as the pass goes.
-    Both run the same operations in the same order, so features and scores
-    are bitwise the same either way. Non-finite logits (a float32 pass
-    overflows on coordinates above about 3e38) raise NumericalError."""
+    """Full forward pass in the dtype of the model's parameters. A theta
+    block that is missing, in another dtype or not |C_j| x |C_j| raises
+    ValidationError before any layer runs. With keep_tape every layer
+    cache is kept for backward_through; without it the caches are dropped
+    as the pass goes. Both run the same operations in the same order, so
+    features and scores are bitwise the same either way. Non-finite logits
+    (a float32 pass overflows on coordinates above about 3e38) raise
+    NumericalError."""
     if graph.num_points != len(corr):
         raise ValidationError("graph was not built over these correspondences")
     dtype = model.dtype
@@ -437,8 +440,7 @@ def run_forward(model: ScNetModel, corr: CorrespondenceSet, graph: DeformationGr
         blended = np.zeros_like(feats)
         for group in groups:
             unit_caches = [] if keep_tape else None
-            z = _forward(block, feats[group.rows], unit_caches,
-                         [theta.blocks[j] for j in group.nodes])
+            z = _forward(block, feats[group.rows], unit_caches, group.thetas)
             if keep_tape:
                 tape.blocks[-1].append(unit_caches)
             group.add_to(blended, group.alpha * z)

@@ -77,12 +77,16 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainScene:
-    """One prepared training example: correspondences with labels, the
-    graph over their source endpoints, and the consistency blocks."""
+    """One labeled training example (else ValidationError): correspondences,
+    the graph over their source endpoints, and the consistency blocks."""
 
     corr: CorrespondenceSet
     graph: DeformationGraph
     theta: LocalConsistency
+
+    def __post_init__(self):
+        if self.corr.labels is None:
+            raise ValidationError("training scene has no labels")
 
 
 def label_correspondences(corr: CorrespondenceSet, gt_warp, tau_d: float) -> np.ndarray:
@@ -182,8 +186,6 @@ def total_loss(scores, labels, features, graph, sigma_f, gamma: float, loss_lamb
 def backward(model: ScNetModel, batch: TrainScene, gamma: float = 2.0, loss_lambda: float = 1.0):
     """Run forward, populate exact gradients on the model (including
     sigma_f), and return (total, cls, con) loss components."""
-    if batch.corr.labels is None:
-        raise ValidationError("training scene has no labels")
     if model.dtype != np.float64:
         raise ValidationError(f"training runs on float64 parameters; this model holds "
                               f"{model.dtype} ones loaded from a parameter file")
@@ -202,8 +204,6 @@ def prepare_scene(corr: CorrespondenceSet, sigma_n: float, assign_k: int,
                   sigma_d: float) -> TrainScene:
     """Build the pruning graph and consistency blocks for a labeled set; the
     blocks are float64, the dtype of the constructed models training runs on."""
-    if corr.labels is None:
-        raise ValidationError("correspondence set has no labels")
     graph = build_graph(corr.source, sigma_n, assign_k)
     theta = local_consistency(corr, graph, sigma_d, np.float64)
     return TrainScene(corr=corr, graph=graph, theta=theta)

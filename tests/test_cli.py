@@ -186,6 +186,17 @@ def test_train_requires_labeled_bundles(tmp_path, capsys):
     assert "no such dataset directory" in capsys.readouterr().err
 
 
+def test_train_names_a_bundle_without_labels(tmp_path, capsys):
+    scene = tmp_path / "data" / "scene0"
+    scene.mkdir(parents=True)
+    src = np.random.default_rng(0).uniform(size=(12, 3))
+    write_corr_csv(scene / "corr.csv", CorrespondenceSet(src, src + 0.01))
+    assert main(["train", "--data", str(tmp_path / "data"), "--out",
+                 str(tmp_path / "m.bin")]) == 2
+    assert f"{scene}/corr.csv has no label column" in capsys.readouterr().err
+    assert not (tmp_path / "m.bin").exists()
+
+
 def test_eval_pools_multiple_pairs(tmp_path, mini_dataset, capsys):
     scene = mini_dataset / "scene1"
     args = ["eval"]

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import re
 import weakref
 from pathlib import Path
 
@@ -9,9 +10,10 @@ import numpy as np
 import pytest
 
 from defreg.config import PipelineConfig, scnet_config
-from defreg.consistency import CorrespondenceSet, local_consistency
+from defreg.consistency import CorrespondenceSet, LocalConsistency, local_consistency
 from defreg.defgraph import build_graph
 from defreg.errors import FileFormatError, NumericalError, ValidationError
+from defreg.scnet import model as model_module
 from defreg.scnet.layers import (
     GroupNorm,
     LeakyRelu,
@@ -291,13 +293,6 @@ def test_attention_singleton_block():
     np.testing.assert_allclose(out, _unit_oracle(unit, feats, np.ones((1, 1))), atol=1e-12)
 
 
-def test_attention_rejects_theta_shape_mismatch():
-    rng = np.random.default_rng(8)
-    unit = _bound(ScaUnit(8, 0.01), rng)
-    with pytest.raises(ValidationError):
-        unit.forward(rng.normal(size=(3, 8)), [np.ones((2, 2))])
-
-
 def test_unit_backward_matches_fd():
     rng = np.random.default_rng(9)
     unit = _bound(ScaUnit(8, 0.01), rng)
@@ -384,16 +379,6 @@ def test_grouped_unit_backward_matches_fd():
             array[idx] = orig
             fd[idx] = (hi - lo) / (2 * h)
         np.testing.assert_allclose(grad, fd, atol=1e-6, err_msg=name)
-
-
-@pytest.mark.parametrize("sizes, rows", [((2, 2), 5), ((2, 3), 4), ((), 0)])
-def test_grouped_unit_rejects_thetas_that_do_not_partition_rows(sizes, rows):
-    rng = np.random.default_rng(12)
-    unit = _bound(ScaUnit(8, 0.01), rng)
-    with pytest.raises(ValidationError, match="partition the feature rows"):
-        unit.forward(rng.normal(size=(rows, 8)), [np.ones((m, m)) for m in sizes])
-    with pytest.raises(ValidationError, match="must be square"):
-        unit.forward(rng.normal(size=(3, 8)), [np.ones((3, 2))])
 
 
 # -------------------------------------------------------------- aggregate
@@ -539,8 +524,6 @@ def test_run_forward_rejects_missing_theta_block():
     broken = dict(theta.blocks)
     victim = next(iter(broken))
     del broken[victim]
-    from defreg.consistency import LocalConsistency
-
     with pytest.raises(ValidationError, match="missing node"):
         run_forward(_micro_model(), corr, graph, LocalConsistency(broken))
 
@@ -556,6 +539,65 @@ def test_run_forward_rejects_theta_in_another_dtype(kind, tmp_path):
     with pytest.raises(ValidationError, match=f"block is {other}, but the model computes in "
                                               f"{model.dtype}"):
         run_forward(model, corr, graph, theta)
+
+
+def _labeled_scene(seed=3, assign_k=6):
+    """The 240-point synthetic scene with its prune graph (coverage 0.08)."""
+    _, _, _, corr = generate_scene(SceneSpec(point_count=240, seed=seed))
+    return corr, build_graph(corr.source, 0.08, assign_k)
+
+
+# shapes for the blocks of the first two patches (index 0 and 1), whose
+# sizes are m0 and m1: a pair that still sums to the pair's rows, a block
+# short of its patch, one past it, and a non-square one
+_MISFIT_BLOCKS = {
+    "swapped": lambda m0, m1: {0: (m0 - 1, m0 - 1), 1: (m1 + 1, m1 + 1)},
+    "short": lambda m0, m1: {0: (m0 - 1, m0 - 1)},
+    "long": lambda m0, m1: {0: (m0 + 1, m0 + 1)},
+    "non-square": lambda m0, m1: {0: (m0, m0 + 1)},
+}
+
+
+@pytest.mark.parametrize("misfit", sorted(_MISFIT_BLOCKS))
+@pytest.mark.parametrize("grouping", ["single-node", "multi-node"])
+def test_run_forward_rejects_blocks_that_do_not_fit_their_patches(grouping, misfit,
+                                                                  monkeypatch):
+    """Every misfit block is named with its node and both sizes before any
+    layer runs, also where the sizes still partition the group's rows."""
+    corr, graph = _labeled_scene()
+    model = ScNetModel(ScNetConfig(feature_dim=32, num_groups=4))
+    theta = local_consistency(corr, graph, 0.08, dtype=model.dtype)
+    if grouping == "single-node":
+        monkeypatch.setattr(model_module, "_GROUP_ENTRIES", 0)
+    first = _node_groups(graph, theta, model.dtype, 32)[0]
+    assert len(first.thetas) == (1 if grouping == "single-node" else len(graph.patches))
+
+    (j0, c0, _), (j1, c1, _) = graph.patches[:2]
+    blocks = dict(theta.blocks)
+    for i, shape in _MISFIT_BLOCKS[misfit](c0.size, c1.size).items():
+        blocks[(j0, j1)[i]] = np.ones(shape)
+
+    def no_layer(*args):
+        raise AssertionError("a layer ran before the blocks were checked")
+
+    monkeypatch.setattr(model_module, "_forward", no_layer)
+    with pytest.raises(ValidationError, match=re.escape(
+            f"node {j0}'s consistency block is {blocks[j0].shape}, but its patch has "
+            f"{c0.size} members")):
+        run_forward(model, corr, graph, LocalConsistency(blocks))
+
+
+def test_run_forward_names_the_node_of_blocks_built_over_another_graph():
+    corr, graph = _labeled_scene(1, assign_k=6)
+    theta = local_consistency(corr, graph, 0.08, dtype=np.float64)
+    _, other = _labeled_scene(1, assign_k=5)
+    j, members, _ = other.patches[0]
+    size = theta.blocks[j].shape[0]
+    assert size != members.size
+    with pytest.raises(ValidationError, match=re.escape(
+            f"node {j}'s consistency block is ({size}, {size}), but its patch has "
+            f"{members.size} members")):
+        run_forward(ScNetModel(ScNetConfig(feature_dim=32, num_groups=4)), corr, other, theta)
 
 
 def _default_model_scene():
@@ -604,17 +646,19 @@ def test_node_groups_fill_the_budget_in_ascending_node_order():
     model, (corr, graph, theta) = _default_model_scene()
     width = model.config.feature_dim
     groups = _node_groups(graph, theta, np.float64, width)
-    assert any(len(g.nodes) > 1 for g in groups) and len(groups) > 1
-    assert [j for g in groups for j in g.nodes] == [
-        j for j, m in enumerate(graph.node_to_members) if m.size]
+    assert any(len(g.thetas) > 1 for g in groups) and len(groups) > 1
+    nonempty = iter(j for j, m in enumerate(graph.node_to_members) if m.size)
     for g, following in zip(groups, groups[1:] + [None]):
-        assert g.bounds[-1] * width <= _GROUP_ENTRIES or len(g.nodes) == 1
+        assert g.bounds[-1] * width <= _GROUP_ENTRIES or len(g.thetas) == 1
         if following is not None:  # greedy: the next node would not have fit
             assert (g.bounds[-1] + following.bounds[1]) * width > _GROUP_ENTRIES
-        for j, a, b in zip(g.nodes, g.bounds, g.bounds[1:]):
+        for a, b, block in zip(g.bounds, g.bounds[1:], g.thetas):
+            j = next(nonempty)
+            assert block is theta.blocks[j]
             assert g.rows[a:b].tobytes() == graph.node_to_members[j].tobytes()
             mask = graph.point_to_nodes == j
             assert g.alpha[a:b, 0].tobytes() == graph.point_weights[mask].tobytes()
+    assert next(nonempty, None) is None
     # several groups blend like every node run alone
     feats = encode_input(corr)
     for layer in model.init:

@@ -442,6 +442,14 @@ def test_prepare_scene_requires_labels():
         prepare_scene(corr, 0.25, 6, 0.08)
 
 
+def test_train_scene_requires_labels():
+    """Scenes built by hand, as _augment_scene builds them, are checked too."""
+    scene = make_check_scene()
+    unlabeled = CorrespondenceSet(scene.corr.source, scene.corr.target)
+    with pytest.raises(ValidationError, match="training scene has no labels"):
+        TrainScene(corr=unlabeled, graph=scene.graph, theta=scene.theta)
+
+
 def test_loss_log_format(tmp_path):
     rows = [(0, 0.5, 0.3, 0.2, 1e-3), (1, 0.25, 0.125, 0.125, 9.5e-4)]
     path = tmp_path / "loss.csv"
