@@ -10,7 +10,7 @@ Every point's k nearest nodes (`assign_points`, also used by the solver
 and the warps) are found exactly, without an N x V distance array: the
 nodes are bucketed in a uniform grid of cells two bandwidths wide, a
 point's candidates are the nodes in the 3 x 3 x 3 cells around it, and
-the few rows that block cannot certify go through a dense kernel.
+the few rows that block cannot certify are retried on wider cells.
 """
 
 from __future__ import annotations
@@ -102,14 +102,16 @@ def _gauss_weights(d2: np.ndarray, bandwidth: float) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-# Distances held at once by either assign_points kernel (512 KB of float64).
+# Distances held at once by one assign_points pass (512 KB of float64).
 _ASSIGN_CHUNK_ENTRIES = 1 << 16
-# The node grid's cell edge, in skinning bandwidths. A graph sampled at
-# coverage s, its bandwidth, has every cloud point within s of a node.
-# With cells of 2s the block of cells around a point holds its k nearest
-# nodes for nearly every point; cells of 1s certify almost none, and
-# cells of 2.5s hold more candidates than they save.
+# The node grid's cell edge in the first pass, in skinning bandwidths. A
+# graph sampled at coverage s, its bandwidth, has every cloud point within
+# s of a node. With cells of 2s the block of cells around a point holds its
+# k nearest nodes for nearly every point; cells of 1s certify almost none,
+# and cells of 2.5s hold more candidates than they save.
 _CELL_BANDWIDTHS = 2.0
+# Each later pass's cell edge over the last one's: its blocks cover the last's.
+_CELL_GROWTH = 3.0
 # The most cells the grid spans on one axis, which keeps cell keys below 2**61.
 _GRID_MAX_CELLS = 1 << 20
 # The cell edges the grid takes: their squared face distances stay well
@@ -125,13 +127,13 @@ def assign_points(points, node_positions, assign_k: int, bandwidth: float):
     is the first columns of a stable argsort of the point's squared
     distances to every node.
 
-    The nodes are bucketed in a uniform grid of cubic cells of edge
-    _CELL_BANDWIDTHS * bandwidth, and a point's candidates are the nodes
-    in its cell and the 26 around it (`_grid_nearest_nodes`). The rows
-    the grid cannot certify, and every row where it would not pay, go
-    through the dense `_nearest_nodes`. Each kernel holds about
-    _ASSIGN_CHUNK_ENTRIES distances at once, so memory grows with N and
-    not with N * V.
+    The rows go through `_grid_nearest_nodes` in passes: the first on
+    cells _CELL_BANDWIDTHS * bandwidth wide, and each later one, on the
+    rows the last left uncertified, on cells _CELL_GROWTH times wider. The
+    cells grow until some block would hold more than half the nodes or the
+    cell edge leaves _GRID_CELL_EDGES, where the pass takes the widest
+    ring and certifies every row: so the loop ends. A pass holds about
+    _ASSIGN_CHUNK_ENTRIES distances at once, so memory grows with N, not N * V.
 
     A bandwidth whose 2 * bandwidth**2 underflows to 0 has no defined
     weights and raises ValidationError. A point whose squared distance to
@@ -148,8 +150,10 @@ def assign_points(points, node_positions, assign_k: int, bandwidth: float):
                               f"positive, with 2 * bandwidth**2 above 0")
     order = np.empty((pts.shape[0], kk), dtype=np.int64)
     sel = np.empty((pts.shape[0], kk))
-    rest = _grid_nearest_nodes(pts, nodes, kk, _CELL_BANDWIDTHS * bandwidth, order, sel)
-    order[rest], sel[rest] = _nearest_nodes(pts[rest], nodes, kk)
+    rest, cell = np.arange(pts.shape[0]), _CELL_BANDWIDTHS * bandwidth
+    while rest.size:
+        rest = _grid_nearest_nodes(pts, rest, nodes, kk, cell, order, sel)
+        cell *= _CELL_GROWTH
     far = np.isinf(sel[:, 0])
     if far.any():
         raise NumericalError(f"node assignment: point {int(np.argmax(far))}'s squared "
@@ -157,17 +161,18 @@ def assign_points(points, node_positions, assign_k: int, bandwidth: float):
     return order, _gauss_weights(sel, bandwidth)
 
 
-def _squared_distances(pts: np.ndarray, node_coords) -> np.ndarray:
+def _squared_distances(pts: np.ndarray, coords: np.ndarray, ids) -> np.ndarray:
     """Point-node squared distances per coordinate, summed x, y, z in
     order: the bits of np.sum over a last axis of 3, without that
-    temporary. node_coords yields the nodes' x, y and z in turn, each
-    broadcasting against a column of pts."""
+    temporary. coords (3, V + 1) holds the x, y and z of the nodes and,
+    last, of the node at infinity; each is taken at ids, or without that
+    node where ids is None."""
     d2 = None
-    for a, coord in enumerate(node_coords):
-        diff = np.subtract(pts[:, a, None], coord)
+    for a in range(3):
+        diff = np.subtract(pts[:, a, None], coords[a, :-1] if ids is None else coords[a][ids])
         np.square(diff, out=diff)
         d2 = diff if d2 is None else np.add(d2, diff, out=d2)
-        del coord, diff  # before the next coordinate is made
+        del diff  # before the next coordinate is made
     return d2
 
 
@@ -194,43 +199,52 @@ def _k_smallest(d2: np.ndarray, ids, kk: int):
     return picked % width if ids is None else ids.ravel()[picked], d2.ravel()[picked]
 
 
-def _nearest_nodes(pts: np.ndarray, nodes: np.ndarray, kk: int):
-    """The kk nearest nodes per point and their squared distances, from
-    every point-node distance, a chunk of rows at a time: each row is
-    exactly the first kk of a stable argsort of its distances."""
-    order = np.empty((pts.shape[0], kk), dtype=np.int64)
-    sel = np.empty((pts.shape[0], kk))
-    step = max(1, _ASSIGN_CHUNK_ENTRIES // nodes.shape[0])
-    for start in range(0, pts.shape[0], step):
-        rows = slice(start, start + step)
-        d2 = _squared_distances(pts[rows], nodes.T[:, None, :])
-        order[rows], sel[rows] = _k_smallest(d2, None, kk)
-    return order, sel
+def _grid_nearest_nodes(pts, rows, nodes, kk, cell, order, sel):
+    """One pass of assign_points: fill the given rows of order and sel, and
+    return those it does not certify, for a later pass to overwrite.
 
-
-def _grid_nearest_nodes(pts, nodes, kk, cell, order, sel):
-    """Fill the rows of order and sel that a grid of cubic cells of edge
-    `cell` certifies, and return the other rows: their indices, or
-    slice(None) where the grid is not used.
-
-    A point's candidates are the nodes in the 3 x 3 x 3 block of cells
-    around its own. Its row is certified when its kk-th squared distance
-    lies below its squared distance to the block's faces, less a margin
-    far above rounding, so that every node outside the block is farther.
-    The block then holds every node at or below that distance, in
-    ascending id order, so _k_smallest's pick among them, ties included,
-    is the dense kernel's. The grid is not used when it would span too
-    many cells, or when some block holds more than half the nodes: there
-    the dense kernel is as fast (measured).
+    A point's candidates are the nodes in the 3 x 3 x 3 block around its
+    own cell, on a grid of cubic cells of edge `cell` anchored at the
+    lowest node corner. Its row is certified when its kk-th squared
+    distance is at most its squared distance to the block's faces, less a
+    margin far above rounding: every node outside the block is then
+    farther, so _k_smallest's pick, ties included, is a stable argsort's.
+    The widest ring, one block of every node, certifies every row. A pass
+    takes it when the cell edge is outside _GRID_CELL_EDGES, when the grid
+    would span more than _GRID_MAX_CELLS cells on an axis, or when some
+    block, padded to kk, would hold more than half the nodes (measured:
+    there a grid does not pay).
     """
-    if not (pts.shape[0] and _GRID_CELL_EDGES[0] <= cell <= _GRID_CELL_EDGES[1]):
-        return slice(None)
+    point_cell, candidates, widths, limit = _cell_blocks(pts[rows], nodes, kk, cell)
+    padded = np.concatenate([nodes, np.full((1, 3), np.inf)]).T.copy()
+    # rows by their block's width, so that each chunk is only as wide as its last row
+    by_width = np.argsort(widths[point_cell], kind="stable")
+    left = np.zeros(rows.size, dtype=bool)
+    step = max(1, _ASSIGN_CHUNK_ENTRIES // max(kk, int(widths.max())))
+    for start in range(0, rows.size, step):
+        chunk = by_width[start:start + step]
+        at, block = rows[chunk], point_cell[chunk]
+        cand = None if candidates is None else candidates[block, :max(kk, widths[block[-1]])]
+        d2 = _squared_distances(pts[at], padded, cand)
+        order[at], sel[at] = _k_smallest(d2, cand, kk)
+        left[chunk] = sel[at, -1] > limit[chunk]
+    return rows[left]
+
+
+def _cell_blocks(pts, nodes, kk, cell):
+    """(point_cell, candidates, widths, limit): each point's block, each
+    block's nodes (None for the widest ring), their count, and each point's
+    squared distance to its block's faces less the margin."""
+    widest = (np.zeros(len(pts), dtype=np.int64), None, np.array([len(nodes)]),
+              np.full(len(pts), np.inf))
+    if not _GRID_CELL_EDGES[0] <= cell <= _GRID_CELL_EDGES[1]:
+        return widest
     lo = nodes.min(axis=0)
     with np.errstate(over="ignore"):
         node_q = (nodes - lo) / cell
         point_q = (pts - lo) / cell
     if not node_q.max() < _GRID_MAX_CELLS:
-        return slice(None)
+        return widest
     dims = np.floor(node_q.max(axis=0)) + 1.0
     # a point more than a cell beyond the nodes keeps a cell whose block holds none
     np.clip(point_q, -2.0, dims + 1.0, out=point_q)
@@ -256,9 +270,9 @@ def _grid_nearest_nodes(pts, nodes, kk, cell, order, sel):
     counts -= first
     del column_keys
     widths = counts.sum(axis=1)
-    width = int(widths.max())
-    if 2 * width > nodes.shape[0] or width < kk:
-        return slice(None)
+    width = max(kk, int(widths.max()))
+    if 2 * width > nodes.shape[0]:
+        return widest
 
     # the squared distance to the block's faces, less 1e-6 cells: over a
     # thousand times the rounding error of two q below _GRID_MAX_CELLS
@@ -279,23 +293,7 @@ def _grid_nearest_nodes(pts, nodes, kk, cell, order, sel):
     candidates[entries] = node_order[source]
     del entries, source
     candidates = np.sort(candidates.reshape(-1, width), axis=1)
-    padded = np.concatenate([nodes, np.full((1, 3), np.inf)]).T.copy()
-
-    # rows by their block's width, so that each chunk is only as wide as its last row
-    by_width = np.argsort(widths[point_cell], kind="stable")
-    certified = np.zeros(pts.shape[0], dtype=bool)
-    step = max(1, _ASSIGN_CHUNK_ENTRIES // width)
-    for start in range(0, pts.shape[0], step):
-        rows = by_width[start:start + step]
-        blocks = point_cell[rows]
-        cand = candidates[blocks, :max(kk, widths[blocks[-1]])]
-        d2 = _squared_distances(pts[rows], (padded[a][cand] for a in range(3)))
-        got, got_d2 = _k_smallest(d2, cand, kk)
-        ok = got_d2[:, -1] < limit[rows]
-        rows = rows[ok]
-        order[rows], sel[rows] = got[ok], got_d2[ok]
-        certified[rows] = True
-    return np.flatnonzero(~certified)
+    return point_cell, candidates, widths, limit
 
 
 def build_graph(cloud, coverage: float, assign_k: int) -> DeformationGraph:

@@ -264,8 +264,10 @@ class AdamState:
         self.step += 1
         b1c = 1.0 - ADAM_BETA1 ** self.step
         b2c = 1.0 - ADAM_BETA2 ** self.step
-        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * grads
-        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grads * grads
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * grads
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * grads * grads
         params -= lr * ((self.m / b1c) / (np.sqrt(self.v / b2c) + ADAM_EPS) + weight_decay * params)
 
 

@@ -363,12 +363,12 @@ def _two_lobe_cloud(n):
     return generate_scene(spec)[0].points
 
 
-@pytest.mark.parametrize("case", ["dense", "grid"])
+@pytest.mark.parametrize("case", ["widest-ring", "grid"])
 def test_assign_points_is_chunk_invariant(monkeypatch, case):
-    """_ASSIGN_CHUNK_ENTRIES bounds both kernels' working set; the result
-    does not depend on it."""
+    """_ASSIGN_CHUNK_ENTRIES bounds every pass's working set, the widest
+    ring's included; the result does not depend on it."""
     rng = np.random.default_rng(30)
-    if case == "dense":
+    if case == "widest-ring":
         points, nodes, bandwidth = rng.normal(size=(500, 3)), rng.normal(size=(25, 3)), 0.5
     else:
         points, bandwidth = _two_lobe_cloud(1500), 0.03
@@ -382,18 +382,41 @@ def test_assign_points_is_chunk_invariant(monkeypatch, case):
 
 def test_grid_certifies_nearly_every_point_of_the_graph_cloud():
     """With nodes sampled at the bandwidth, the block of cells around a
-    cloud point holds its six nearest nodes for nearly every point, so the
-    dense kernel sees only a few rows."""
+    cloud point holds its six nearest nodes for nearly every point, so
+    only a few rows go to a second pass."""
     points = _two_lobe_cloud(2000)
     nodes = points[furthest_point_sample(points, 0.03)]
     order = np.empty((len(points), 6), dtype=np.int64)
     sel = np.empty((len(points), 6))
-    rest = defgraph._grid_nearest_nodes(points, nodes, 6, defgraph._CELL_BANDWIDTHS * 0.03,
-                                        order, sel)
+    rest = defgraph._grid_nearest_nodes(points, np.arange(len(points)), nodes, 6,
+                                        defgraph._CELL_BANDWIDTHS * 0.03, order, sel)
     assert rest.size < 0.05 * len(points)
     ref_order, _ = _stable_argsort_assignment(points, nodes, 6, 0.03)
     done = np.setdiff1d(np.arange(len(points)), rest)
     np.testing.assert_array_equal(order[done], ref_order[done])
+
+
+def test_assign_points_below_the_node_spacing_widens_the_cells(monkeypatch):
+    """A coverage below the point spacing makes nearly every point a node,
+    and the first pass's blocks hold fewer than k nodes for most rows. The
+    wider cells of later passes certify them all, and no pass falls back to
+    a row of every node."""
+    points = np.random.default_rng(0).random((1000, 3)) * [1.0, 1.0, 0.05]
+    nodes = points[furthest_point_sample(points, 0.01)]
+    assert len(nodes) > 900
+    widths = []
+
+    def k_smallest(d2, ids, kk):
+        widths.append(d2.shape[1])
+        return k_smallest.wrapped(d2, ids, kk)
+
+    k_smallest.wrapped = defgraph._k_smallest
+    monkeypatch.setattr(defgraph, "_k_smallest", k_smallest)
+    order, weights = assign_points(points, nodes, 6, 0.01)
+    ref_order, ref_weights = _stable_argsort_assignment(points, nodes, 6, 0.01)
+    assert order.tobytes() == ref_order.tobytes()
+    assert weights.tobytes() == ref_weights.tobytes()
+    assert widths and max(widths) < len(nodes)
 
 
 @st.composite

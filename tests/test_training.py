@@ -278,6 +278,16 @@ def test_adam_decay_is_decoupled():
     np.testing.assert_allclose(p, [2.0 - 0.1 * 0.5 * 2.0], atol=1e-15)
 
 
+def test_adam_updates_its_moments_in_place():
+    p = np.random.default_rng(0).normal(size=50)
+    adam = AdamState(p)
+    m, v = adam.m, adam.v
+    for _ in range(3):
+        adam.update(p, np.random.default_rng(1).normal(size=50), 0.01, 0.1)
+    assert adam.m is m and adam.v is v
+    assert np.abs(m).max() > 0 and np.abs(v).max() > 0
+
+
 # ------------------------------------------------------------------ train()
 
 def _micro_model(seed=0):
