@@ -272,11 +272,6 @@ class ScNetModel:
         bind_params([layer for _, layer in self._layers()], values, grads, rng)
         self.values, self.grads = values, grads
 
-    def zero_grad(self):
-        if not self.grads.flags.writeable:
-            raise ValidationError("a model loaded from a parameter file holds no gradient buffers")
-        self.grads[...] = 0.0
-
     def param_name(self, index: int) -> str:
         """Name of the parameter holding values[index], for failure messages."""
         names, sizes = zip(*((name, value.size) for name, value, _ in self.params()))

@@ -16,9 +16,11 @@ difference; its gradient is that of |hhat_x - hhat_y|^2. The diagonal is
 not zeroed: hhat_x . hhat_x is 1 only to within rounding, which leaves a
 self-pair's d2 at a few 1e-16 instead of 0.
 
-Gradients are exact reverse-mode: loss -> scores/features here, then
-through the network via scnet.backward_through. Nothing is approximated,
-which is what the finite-difference check in the tests pins down.
+One function, _objective, computes total = cls + loss_lambda * con for
+every loss_lambda, with its exact gradients w.r.t. the scores, features
+and sigma_f; backward carries them through the network. The step, its
+tape-free twin scene_loss and the finite-difference gradient_check all
+call it, so the check differences the function the step differentiates.
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ __all__ = [
     "AdamState",
     "label_correspondences",
     "focal_loss",
-    "consistency_loss",
-    "total_loss",
     "backward",
     "prepare_scene",
     "scene_loss",
@@ -131,7 +131,8 @@ def _normalize_rows(features: np.ndarray):
     return features / norms, norms
 
 
-def _consistency_terms(features, graph, labels, sigma_f, want_grad):
+def _consistency_terms(features, graph, labels, sigma_f):
+    """Consistency loss and its gradients w.r.t. the features and sigma_f."""
     hhat, norms = _normalize_rows(np.asarray(features, dtype=np.float64))
     lab = np.asarray(labels, dtype=np.float64)
     # np.float64 keeps IEEE overflow semantics: a blown-up sigma_f must yield
@@ -141,7 +142,7 @@ def _consistency_terms(features, graph, labels, sigma_f, want_grad):
         raise ValidationError("graph has no populated nodes")
     v_used = len(graph.patches)
     total = 0.0
-    dhhat = np.zeros_like(hhat) if want_grad else None
+    dhhat = np.zeros_like(hhat)
     dsigma = 0.0
     for _, members, _ in graph.patches:
         block = hhat[members]
@@ -154,33 +155,27 @@ def _consistency_terms(features, graph, labels, sigma_f, want_grad):
         m = members.size
         scale = 1.0 / (m * m * v_used * v_used)
         total += np.abs(gap).sum() * scale
-        if want_grad:
-            # d|gap|/ddelta = sign(gap), active only where the hinge is
-            w = np.sign(gap) * (raw > 0.0) * scale
-            coef = -w / (sig * sig)  # dL/d(d2), symmetric
-            dblock = 4.0 * (coef.sum(axis=1)[:, None] * block - coef @ block)
-            dhhat[members] += dblock  # a member list never repeats a point
-            dsigma += (w * d2).sum() * 2.0 / (sig ** 3)
-    if not want_grad:
-        return total, None, None
+        # d|gap|/ddelta = sign(gap), active only where the hinge is
+        w = np.sign(gap) * (raw > 0.0) * scale
+        coef = -w / (sig * sig)  # dL/d(d2), symmetric
+        dblock = 4.0 * (coef.sum(axis=1)[:, None] * block - coef @ block)
+        dhhat[members] += dblock  # a member list never repeats a point
+        dsigma += (w * d2).sum() * 2.0 / (sig ** 3)
     dots = (hhat * dhhat).sum(axis=1, keepdims=True)
     dfeatures = (dhhat - hhat * dots) / norms
-    return total, dfeatures, dsigma
+    return float(total), dfeatures, dsigma
 
 
-def consistency_loss(features, graph: DeformationGraph, labels, sigma_f) -> float:
-    """Per-node feature-consistency loss on unit-normalized feature rows."""
-    loss, _, _ = _consistency_terms(features, graph, labels, sigma_f, want_grad=False)
-    return float(loss)
-
-
-def total_loss(scores, labels, features, graph, sigma_f, gamma: float, loss_lambda: float) -> float:
-    """Mean focal loss plus loss_lambda times the consistency loss."""
-    lab = np.asarray(labels)
-    cls = float(np.mean(focal_loss(np.asarray(scores, dtype=np.float64), lab, gamma)))
-    if loss_lambda == 0.0:
-        return cls
-    return cls + loss_lambda * consistency_loss(features, graph, lab, sigma_f)
+def _objective(model: ScNetModel, batch: TrainScene, gamma: float, loss_lambda: float,
+               keep_tape: bool):
+    """The forward state, (total, cls, con) with total = cls + loss_lambda *
+    con, and total's gradients (dscores, dfeatures, dsigma)."""
+    state = run_forward(model, batch.corr, batch.graph, batch.theta, keep_tape=keep_tape)
+    labels = batch.corr.labels
+    cls, dscores = _focal_mean_grad(state.scores, labels, gamma)
+    con, dfeatures, dsigma = _consistency_terms(state.features, batch.graph, labels, model.sigma_f)
+    return (state, (cls + loss_lambda * con, cls, con),
+            (dscores, loss_lambda * dfeatures, loss_lambda * dsigma))
 
 
 def backward(model: ScNetModel, batch: TrainScene, gamma: float = 2.0, loss_lambda: float = 1.0):
@@ -189,15 +184,12 @@ def backward(model: ScNetModel, batch: TrainScene, gamma: float = 2.0, loss_lamb
     if model.dtype != np.float64:
         raise ValidationError(f"training runs on float64 parameters; this model holds "
                               f"{model.dtype} ones loaded from a parameter file")
-    model.zero_grad()
-    state = run_forward(model, batch.corr, batch.graph, batch.theta, keep_tape=True)
-    cls, dscores = _focal_mean_grad(state.scores, batch.corr.labels, gamma)
-    con, dfeatures, dsigma = _consistency_terms(
-        state.features, batch.graph, batch.corr.labels, model.sigma_f, want_grad=True
-    )
-    model.gsigma_f += loss_lambda * dsigma
-    backward_through(model, state, dscores, loss_lambda * dfeatures)
-    return cls + loss_lambda * con, cls, con
+    model.grads[...] = 0.0
+    state, losses, (dscores, dfeatures, dsigma) = _objective(model, batch, gamma, loss_lambda,
+                                                             keep_tape=True)
+    model.gsigma_f += dsigma
+    backward_through(model, state, dscores, dfeatures)
+    return losses
 
 
 def prepare_scene(corr: CorrespondenceSet, sigma_n: float, assign_k: int,
@@ -210,11 +202,10 @@ def prepare_scene(corr: CorrespondenceSet, sigma_n: float, assign_k: int,
 
 
 def scene_loss(model: ScNetModel, batch: TrainScene, gamma: float = 2.0,
-               loss_lambda: float = 1.0) -> float:
-    """total_loss at the model's current parameters, no gradients."""
-    state = run_forward(model, batch.corr, batch.graph, batch.theta)
-    return total_loss(state.scores, batch.corr.labels, state.features, batch.graph,
-                      model.sigma_f, gamma, loss_lambda)
+               loss_lambda: float = 1.0):
+    """The (total, cls, con) that backward returns, without a tape or any
+    change to the model's gradients."""
+    return _objective(model, batch, gamma, loss_lambda, keep_tape=False)[1]
 
 
 def make_check_scene(seed: int = 0):
@@ -243,9 +234,9 @@ def gradient_check(seed: int = 0):
     for i in range(values.size):
         base = values[i]
         values[i] = base + GRADCHECK_STEP
-        hi = scene_loss(model, scene)
+        hi = scene_loss(model, scene)[0]
         values[i] = base - GRADCHECK_STEP
-        lo = scene_loss(model, scene)
+        lo = scene_loss(model, scene)[0]
         values[i] = base
         numeric[i] = (hi - lo) / (2.0 * GRADCHECK_STEP)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1.0)

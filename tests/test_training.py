@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from defreg import training
 from defreg.config import PipelineConfig, scnet_config, train_config
 from defreg.consistency import CorrespondenceSet, local_consistency
 from defreg.defgraph import build_graph
@@ -10,7 +11,7 @@ from defreg.errors import NumericalError, ValidationError
 from defreg.geometry import PointCloud
 from defreg.nicp import WarpField
 from defreg.scnet.layers import Linear, bind_params, param_slots, sigmoid
-from defreg.scnet.model import ScNetConfig, ScNetModel, classify, run_forward
+from defreg.scnet.model import ForwardState, ScNetConfig, ScNetModel, classify, run_forward
 from defreg.scnet.params_io import load_params, save_params
 from defreg.synth import SceneSpec, generate_scene
 from defreg.training import (
@@ -18,14 +19,12 @@ from defreg.training import (
     TrainConfig,
     TrainScene,
     backward,
-    consistency_loss,
     focal_loss,
     gradient_check,
     label_correspondences,
     make_check_scene,
     prepare_scene,
     scene_loss,
-    total_loss,
     train,
     write_loss_log,
     _consistency_terms,
@@ -101,7 +100,7 @@ def _one_node_scene(features_count):
 def test_consistency_identical_inliers_zero():
     graph = _one_node_scene(4)
     features = np.tile([1.0, 0.0, 0.0], (4, 1))
-    assert consistency_loss(features, graph, np.ones(4), 1.0) == 0.0
+    assert _consistency_terms(features, graph, np.ones(4), 1.0)[0] == 0.0
 
 
 def test_consistency_orthogonal_pair_worked_value():
@@ -110,7 +109,7 @@ def test_consistency_orthogonal_pair_worked_value():
     # scaled by 1/(m^2 V^2) = 1/4
     graph = _one_node_scene(2)
     features = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    loss = consistency_loss(features, graph, np.ones(2), 1.0)
+    loss = _consistency_terms(features, graph, np.ones(2), 1.0)[0]
     assert abs(loss - 0.5) < 1e-15
 
 
@@ -121,15 +120,15 @@ def test_consistency_singleton_nodes():
     graph = build_graph(src, 0.001, 1)
     assert graph.num_nodes == 2
     feats = np.array([[1.0, 0, 0], [0.0, 1, 0]])
-    assert consistency_loss(feats, graph, np.array([1, 1]), 1.0) == 0.0
-    assert consistency_loss(feats, graph, np.array([1, 0]), 1.0) == pytest.approx(0.25)
+    assert _consistency_terms(feats, graph, np.array([1, 1]), 1.0)[0] == 0.0
+    assert _consistency_terms(feats, graph, np.array([1, 0]), 1.0)[0] == pytest.approx(0.25)
 
 
 def test_consistency_zero_norm_feature_raises():
     graph = _one_node_scene(2)
     feats = np.array([[1.0, 0, 0], [0.0, 0, 0]])
     with pytest.raises(NumericalError, match="zero-norm row 1"):
-        consistency_loss(feats, graph, np.ones(2), 1.0)
+        _consistency_terms(feats, graph, np.ones(2), 1.0)
 
 
 def _consistency_difference_oracle(features, graph, labels, sigma_f):
@@ -173,7 +172,7 @@ def test_gram_consistency_matches_difference_oracle(dim, duplicates, sigma_f):
         # the difference form gives their pairs d2 = 0 exactly
         feats[40:60] = feats[:20] * np.where(np.arange(20) % 2, 1.0, 3.5)[:, None]
         labels[40:60] = labels[:20]
-    loss, dfeatures, dsigma = _consistency_terms(feats, graph, labels, sigma_f, want_grad=True)
+    loss, dfeatures, dsigma = _consistency_terms(feats, graph, labels, sigma_f)
     ref_loss, ref_dfeatures, ref_dsigma = _consistency_difference_oracle(
         feats, graph, labels, sigma_f)
     assert ref_loss > 0.0 and ref_dsigma != 0.0
@@ -183,37 +182,77 @@ def test_gram_consistency_matches_difference_oracle(dim, duplicates, sigma_f):
                                atol=1e-12 * np.abs(ref_dfeatures).max())
 
 
-# -------------------------------------------------------------- total loss
+# --------------------------------------------------------------- objective
 
-def test_total_loss_lambda_zero_is_classification_only():
+def _fixed_forward_losses(monkeypatch, scores, features, graph, labels, sigma_f, gamma,
+                          loss_lambda):
+    """scene_loss's (total, cls, con) on a forward pass that returns the
+    given scores and features."""
+    monkeypatch.setattr(training, "run_forward",
+                        lambda *args, **kwargs: ForwardState(features, scores, None))
+    model = _micro_model()
+    model.sigma_f[...] = sigma_f
+    points = np.zeros((len(scores), 3))
+    scene = TrainScene(CorrespondenceSet(points, points, labels), graph, None)
+    return scene_loss(model, scene, gamma, loss_lambda)
+
+
+def test_scene_loss_lambda_zero_is_classification_only(monkeypatch):
     graph = _one_node_scene(3)
     rng = np.random.default_rng(1)
     scores = rng.uniform(0.1, 0.9, size=3)
     labels = np.array([1, 0, 1])
     feats = rng.normal(size=(3, 4))
-    got = total_loss(scores, labels, feats, graph, 1.0, 2.0, 0.0)
-    assert got == pytest.approx(float(np.mean(focal_loss(scores, labels, 2.0))), abs=1e-15)
+    total, cls, con = _fixed_forward_losses(monkeypatch, scores, feats, graph, labels, 1.0,
+                                            2.0, 0.0)
+    assert total == cls and con > 0.0
+    assert total == pytest.approx(float(np.mean(focal_loss(scores, labels, 2.0))), abs=1e-15)
 
 
-def test_total_loss_is_sum_of_parts():
+def test_scene_loss_is_sum_of_parts(monkeypatch):
     graph = _one_node_scene(5)
     rng = np.random.default_rng(2)
     scores = rng.uniform(0.1, 0.9, size=5)
     labels = rng.integers(0, 2, size=5)
     feats = rng.normal(size=(5, 6))
     lam = 0.7
-    expect = float(np.mean(focal_loss(scores, labels, 2.0))) + lam * consistency_loss(
-        feats, graph, labels, 0.8
-    )
-    assert total_loss(scores, labels, feats, graph, 0.8, 2.0, lam) == pytest.approx(expect, abs=1e-15)
+    total, cls, con = _fixed_forward_losses(monkeypatch, scores, feats, graph, labels, 0.8,
+                                            2.0, lam)
+    assert total == cls + lam * con
+    assert con == _consistency_terms(feats, graph, labels, 0.8)[0]
+    expect = float(np.mean(focal_loss(scores, labels, 2.0))) + lam * con
+    assert total == pytest.approx(expect, abs=1e-15)
 
 
-def test_total_loss_zero_when_both_terms_zero():
+def test_scene_loss_zero_when_both_terms_zero(monkeypatch):
     graph = _one_node_scene(2)
     feats = np.tile([0.0, 1.0, 0.0], (2, 1))
     scores = np.array([1.0, 1.0])  # clamped inside focal_loss
     labels = np.ones(2, dtype=np.int8)
-    assert total_loss(scores, labels, feats, graph, 1.0, 2.0, 1.0) < 1e-12
+    assert _fixed_forward_losses(monkeypatch, scores, feats, graph, labels, 1.0, 2.0,
+                                 1.0)[0] < 1e-12
+
+
+def test_scene_loss_checks_the_features_at_lambda_zero(monkeypatch):
+    """The consistency term is evaluated at every loss_lambda, as the
+    training step evaluates it, so a zero-norm feature row is reported."""
+    graph = _one_node_scene(2)
+    feats = np.array([[1.0, 0, 0], [0.0, 0, 0]])
+    with pytest.raises(NumericalError, match="zero-norm row 1"):
+        _fixed_forward_losses(monkeypatch, np.array([0.3, 0.6]), feats, graph, np.ones(2),
+                              1.0, 2.0, 0.0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_scene_loss_and_backward_return_the_same_losses(seed):
+    scene = make_check_scene(seed)
+    model = _micro_model(seed)
+    for loss_lambda in (0.0, 0.7, 1.0):
+        for gamma in (0.0, 2.0):
+            losses = scene_loss(model, scene, gamma, loss_lambda)
+            assert backward(model, scene, gamma, loss_lambda) == losses
+            if loss_lambda == 0.0:
+                assert losses[0] == losses[1] and model.gsigma_f == 0.0
 
 
 # ---------------------------------------------------------------- gradients
@@ -242,6 +281,30 @@ def test_gradient_check_micro_model():
 
 def test_gradient_check_alternate_seed():
     assert gradient_check(seed=3) < 1e-4
+
+
+@pytest.mark.parametrize("loss_lambda, gamma", [(0.3, 0.5), (0.0, 2.0)])
+def test_backward_gradient_matches_central_differences(loss_lambda, gamma):
+    """gradient_check's comparison at a loss_lambda and gamma other than its
+    own, on 40 seeded parameters, sigma_f among them."""
+    scene = make_check_scene(1)
+    model = _micro_model(seed=1)
+    backward(model, scene, gamma, loss_lambda)
+    values = model.values
+    picks = np.random.default_rng(4).choice(values.size - 1, size=39, replace=False)
+    picks = np.append(picks, values.size - 1)
+    assert model.param_name(values.size - 1) == "sigma_f"
+    step = training.GRADCHECK_STEP
+    for i in picks:
+        base = values[i]
+        values[i] = base + step
+        hi = scene_loss(model, scene, gamma, loss_lambda)[0]
+        values[i] = base - step
+        lo = scene_loss(model, scene, gamma, loss_lambda)[0]
+        values[i] = base
+        analytic, numeric = model.grads[i], (hi - lo) / (2.0 * step)
+        error = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1.0)
+        assert error < 1e-4, model.param_name(int(i))
 
 
 # --------------------------------------------------------------------- adam
@@ -312,9 +375,9 @@ def test_train_zero_learning_rate_is_inert():
 def test_train_reduces_loss():
     model = _micro_model(seed=1)
     dataset = _tiny_dataset(4)
-    first = float(np.mean([scene_loss(model, s) for s in dataset]))
+    first = float(np.mean([scene_loss(model, s)[0] for s in dataset]))
     log, _ = train(model, dataset, TrainConfig(epochs=8, learning_rate=3e-3, seed=0))
-    final = float(np.mean([scene_loss(model, s) for s in dataset]))
+    final = float(np.mean([scene_loss(model, s)[0] for s in dataset]))
     assert final < first
     assert log[-1][1] < log[0][1]
 
@@ -384,8 +447,8 @@ def test_training_refuses_loaded_float32_model(tmp_path):
 
 def test_loaded_model_holds_read_only_zero_gradients(tmp_path):
     """A loaded model's gradients own no memory: zero-strided read-only
-    zeros of each parameter's dtype. zero_grad says why it cannot run, and
-    training still refuses the model by its dtype."""
+    zeros of each parameter's dtype. Training refuses the model by its
+    dtype before it would write them."""
     path = tmp_path / "m.params"
     save_params(path, _micro_model(seed=2))
     model = _micro_model()
@@ -394,8 +457,7 @@ def test_loaded_model_holds_read_only_zero_gradients(tmp_path):
         assert grad.shape == value.shape and grad.dtype == value.dtype == np.float32, name
         assert not grad.flags.writeable and all(s == 0 for s in grad.strides), name
     assert model.grads.size == model.values.size and not model.grads.any()
-    with pytest.raises(ValidationError, match="loaded from a parameter file holds no gradient buffers"):
-        model.zero_grad()
+    assert not model.grads.flags.writeable
     with pytest.raises(ValidationError, match="float64 parameters; this model holds float32"):
         backward(model, make_check_scene(0))
     with pytest.raises(ValidationError, match="float64 parameters"):
